@@ -24,6 +24,7 @@ import csv
 import io
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import export
@@ -294,21 +295,15 @@ def cmd_sample(args) -> int:
     if args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        columns = ["rank", "package"]
-        if breakage is not None:
-            columns += sorted(export.breakage_to_dict(breakage))
-        writer.writerow(columns)
+        counts = asdict(breakage) if breakage is not None else {}
+        writer.writerow(["rank", "package"] + sorted(counts))
         for rank, package in enumerate(selected, start=1):
-            row = [rank, package]
-            if breakage is not None:
-                counts = export.breakage_to_dict(breakage)
-                row += [counts[k] for k in sorted(counts)]
-            writer.writerow(row)
+            writer.writerow([rank, package] + [counts[k] for k in sorted(counts)])
         _emit(args, buf.getvalue())
     else:
         doc: dict = {"metric": args.metric, "k": args.k, "selected": selected}
         if breakage is not None:
-            doc["breakage"] = export.breakage_to_dict(breakage)
+            doc["breakage"] = asdict(breakage)
         _emit(args, json.dumps(doc, indent=2, sort_keys=True) + "\n")
     print(f"selected {len(selected)} packages", file=sys.stderr)
     return EXIT_QUARANTINED if result.quarantine else EXIT_OK
@@ -324,7 +319,7 @@ def cmd_activity(args) -> int:
         at=at,
         dormant_threshold=args.threshold,
     )
-    doc = export.activity_to_dict(report)
+    doc = asdict(report)
     if args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")

@@ -366,7 +366,8 @@ def congruent_contributions(g: DcGraph) -> list[CongruentPair]:
 
     One pair is reported per triple regardless of how many individual
     contributions landed on each side; the earliest contribution (by time,
-    then id) represents each side. Output order is deterministic.
+    then id) represents each side. Pairs come ordered by (developer,
+    client, library).
     """
     by_dev_target: dict[tuple[str, str], Contribution] = {}
     for c in g.contributions:
@@ -375,20 +376,27 @@ def congruent_contributions(g: DcGraph) -> list[CongruentPair]:
         if best is None or (c.time, c.id) < (best.time, best.id):
             by_dev_target[key] = c
 
-    devs = sorted({dev for dev, _ in by_dev_target})
+    libraries_of: dict[str, list[str]] = {}
+    for client, library in sorted(g.dependency_edges):
+        libraries_of.setdefault(client, []).append(library)
+    targets_of: dict[str, list[str]] = {}
+    for dev, target in by_dev_target:
+        targets_of.setdefault(dev, []).append(target)
+
     pairs = []
-    for dev in devs:
-        for client, library in sorted(g.dependency_edges):
-            c_client = by_dev_target.get((dev, client))
-            c_library = by_dev_target.get((dev, library))
-            if c_client is not None and c_library is not None:
-                pairs.append(
-                    CongruentPair(
-                        developer=dev,
-                        client=client,
-                        library=library,
-                        client_contribution=c_client.id,
-                        library_contribution=c_library.id,
+    for dev in sorted(targets_of):
+        for client in sorted(targets_of[dev]):
+            c_client = by_dev_target[(dev, client)]
+            for library in libraries_of.get(client, ()):
+                c_library = by_dev_target.get((dev, library))
+                if c_library is not None:
+                    pairs.append(
+                        CongruentPair(
+                            developer=dev,
+                            client=client,
+                            library=library,
+                            client_contribution=c_client.id,
+                            library_contribution=c_library.id,
+                        )
                     )
-                )
     return pairs

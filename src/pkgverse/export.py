@@ -14,15 +14,12 @@ from pathlib import Path
 
 from .contrib import CongruentPair, Window
 from .graph import TimedSnapshot
-from .sampling import ActivityReport, BreakageReport
 
 __all__ = [
     "snapshot_to_dot",
     "snapshot_to_graphml",
     "snapshot_to_json",
     "write_congruence_csv",
-    "breakage_to_dict",
-    "activity_to_dict",
     "export_snapshot_series",
 ]
 
@@ -117,27 +114,6 @@ def write_congruence_csv(fh, rows: list[tuple[Window, CongruentPair]]) -> None:
                 pair.library_contribution,
             )
         )
-
-
-def breakage_to_dict(report: BreakageReport) -> dict:
-    return {
-        "dangling_use_edges": report.dangling_use_edges,
-        "broken_transitive_paths": report.broken_transitive_paths,
-        "severed_update_chains": report.severed_update_chains,
-    }
-
-
-def activity_to_dict(report: ActivityReport) -> dict:
-    return {
-        "package": report.package,
-        "at": report.at,
-        "window": report.window,
-        "releases_in_window": report.releases_in_window,
-        "last_release_time": report.last_release_time,
-        "time_since_last_release": report.time_since_last_release,
-        "dependent_count": report.dependent_count,
-        "dormant_but_depended_upon": report.dormant_but_depended_upon,
-    }
 
 
 def export_snapshot_series(series: list[TimedSnapshot], directory, prefix: str = "snapshot") -> list[Path]:

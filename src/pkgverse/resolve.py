@@ -93,13 +93,20 @@ class ManifestRegistry:
         dependencies are its use-edges, pinned to the exact target release.
         This makes resolution reproducible at any historical instant."""
         registry = cls()
-        for unit in sorted(snapshot.units, key=lambda u: u.uid):
-            deps = []
-            for dep_uid in sorted(snapshot.use_of(unit.uid)):
-                dep = snapshot.unit(dep_uid)
-                deps.append((dep.name, VersionRange.pin(dep.release)))
-            registry.add(Manifest(unit.name, unit.release, tuple(deps)))
+        for uid in sorted(u.uid for u in snapshot.units):
+            registry.add(_pinned_manifest(snapshot, uid))
         return registry
+
+
+def _pinned_manifest(snapshot: TimedSnapshot, uid: int) -> Manifest:
+    """A unit's manifest whose dependencies are its use-edges, each pinned
+    to the exact target release."""
+    unit = snapshot.unit(uid)
+    deps = []
+    for dep_uid in sorted(snapshot.use_of(uid)):
+        dep = snapshot.unit(dep_uid)
+        deps.append((dep.name, VersionRange.pin(dep.release)))
+    return Manifest(unit.name, unit.release, tuple(deps))
 
 
 def build_nested_tree(root: Manifest, registry: ManifestRegistry) -> DepTree:
@@ -167,12 +174,19 @@ def build_nested_tree(root: Manifest, registry: ManifestRegistry) -> DepTree:
 def build_tree_at(
     snapshot: TimedSnapshot, name: str, release: str
 ) -> DepTree:
-    """Nested tree for a unit present in ``snapshot``; raises UnknownRoot."""
-    registry = ManifestRegistry.from_snapshot(snapshot)
-    root = registry.manifest(name, release)
-    if root is None:
+    """Nested tree for a unit present in ``snapshot``; raises UnknownRoot.
+
+    Only the root's use-closure is registered: every pin names a release
+    inside it, so the tree equals the one resolved against
+    :meth:`ManifestRegistry.from_snapshot`.
+    """
+    uid = snapshot.find(name, release)
+    if uid is None:
         raise UnknownRoot(f"{name}@{release} is not present at t={snapshot.at}")
-    return build_nested_tree(root, registry)
+    registry = ManifestRegistry()
+    for member in sorted(snapshot.transitive_dependencies(uid) | {uid}):
+        registry.add(_pinned_manifest(snapshot, member))
+    return build_nested_tree(registry.manifest(name, release), registry)
 
 
 def flatten_tree(nested: DepTree) -> DepTree:

@@ -22,11 +22,22 @@ one concretization, computed against the package-level projection:
   releases, two or more long) that the subset discards entirely;
   name-level subsets drop whole packages, so discarding is the only way
   a chain can break.
+
+Reachable pairs are counted, never enumerated. An iterative Tarjan pass
+condenses the projection into strongly connected components, which it
+emits successors first; each component keeps a Python-int bitset of the
+packages it reaches, the OR of its successor components' bitsets and
+members. A package in a multi-member component also reaches its fellow
+members, never itself. The subset-induced projection is a subgraph of the
+full one, so ``broken = |R(full)| - |R(subset)|``. For P packages, E
+package edges and C components this costs O(P + E) steps plus O(E·P/64)
+machine words of bitset work, and C·P bits of memory, in place of the
+O(P·(P+E)) time and one set entry per reachable pair of a per-package
+search.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .contrib import Contribution
@@ -58,15 +69,12 @@ class SampleSpec:
 
     metric: str
     k: int
-    tie_break: str = "name"  # ascending package name is the only rule
 
     def __post_init__(self):
         if self.metric not in METRICS:
             raise ValueError(f"metric must be one of {METRICS}, got {self.metric!r}")
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
-        if self.tie_break != "name":
-            raise ValueError(f"unsupported tie_break {self.tie_break!r}")
 
 
 @dataclass(frozen=True)
@@ -117,23 +125,80 @@ def sample_top_k(
     return ranked[: spec.k]
 
 
-def _package_reachability(packages, edges) -> set[tuple[str, str]]:
-    out: dict[str, set[str]] = {p: set() for p in packages}
+def _reachable_pair_count(packages, edges) -> int:
+    """Number of ordered pairs (a, b), a != b, with b reachable from a.
+
+    ``edges`` must only join members of ``packages``.
+    """
+    index = {p: i for i, p in enumerate(packages)}
+    out: list[list[int]] = [[] for _ in index]
     for a, b in edges:
-        out[a].add(b)
-    pairs: set[tuple[str, str]] = set()
-    for start in packages:
-        seen: set[str] = set()
-        queue = deque(out[start])
-        while queue:
-            p = queue.popleft()
-            if p in seen:
-                continue
-            seen.add(p)
-            queue.extend(out[p] - seen)
-        seen.discard(start)
-        pairs.update((start, p) for p in seen)
-    return pairs
+        out[index[a]].append(index[b])
+
+    # iterative Tarjan; ``closure[c]`` is the bitset of packages reachable
+    # from component c, its own members included
+    n = len(out)
+    disc = [-1] * n
+    low = [0] * n
+    comp = [-1] * n
+    on_stack = [False] * n
+    stack: list[int] = []
+    closure: list[int] = []
+    counter = 0
+    total = 0
+    for root in range(n):
+        if disc[root] >= 0:
+            continue
+        disc[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = True
+        work = [(root, iter(out[root]))]
+        while work:
+            v, successors = work[-1]
+            for w in successors:
+                if disc[w] < 0:
+                    disc[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    work.append((w, iter(out[w])))
+                    break
+                if on_stack[w] and disc[w] < low[v]:
+                    low[v] = disc[w]
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    if low[v] < low[parent]:
+                        low[parent] = low[v]
+                if low[v] != disc[v]:
+                    continue
+                # v roots a component; every successor outside it is done
+                c = len(closure)
+                members = []
+                while True:
+                    w = stack.pop()
+                    on_stack[w] = False
+                    comp[w] = c
+                    members.append(w)
+                    if w == v:
+                        break
+                mask = 0
+                successor_comps = set()
+                for w in members:
+                    mask |= 1 << w
+                    successor_comps.update(comp[x] for x in out[w])
+                successor_comps.discard(c)
+                bits = 0
+                for d in successor_comps:
+                    bits |= closure[d]
+                closure.append(bits | mask)
+                # each member reaches everything beyond its component and
+                # its fellow members, never itself
+                size = len(members)
+                total += size * (bits.bit_count() + size - 1)
+    return total
 
 
 def chain_breakage(snapshot: TimedSnapshot, subset: set[str]) -> BreakageReport:
@@ -156,10 +221,11 @@ def chain_breakage(snapshot: TimedSnapshot, subset: set[str]) -> BreakageReport:
     )
 
     edges = snapshot.package_dependency_edges()
-    full_pairs = _package_reachability(sorted(packages), edges)
-    kept_edges = {(a, b) for a, b in edges if a in subset and b in subset}
-    subset_pairs = _package_reachability(sorted(subset), kept_edges)
-    broken = len(full_pairs - subset_pairs)
+    kept_edges = [(a, b) for a, b in edges if a in subset and b in subset]
+    # sorted, so the traversal (and its depth) does not depend on hashing
+    broken = _reachable_pair_count(sorted(packages), edges) - _reachable_pair_count(
+        sorted(subset), kept_edges
+    )
 
     # chains are linear, so a name's chain count is its linked units minus
     # its update edges (one maximal run per surplus unit)

@@ -3,6 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from pkgverse.contrib import (
     Contribution,
+    DcGraph,
     build_dc_graph,
     canonicalize_contributions,
     classify_bot,
@@ -300,6 +301,44 @@ class TestCongruence:
             }
             expected = congruence_brute_force(dc.dependency_edges, contribs)
             assert got == expected
+
+
+    @settings(deadline=None, max_examples=300)
+    @given(
+        edges=st.sets(
+            st.tuples(st.sampled_from("abcde"), st.sampled_from("abcde")).filter(
+                lambda e: e[0] != e[1]
+            ),
+            min_size=1,
+        ),
+        raw=st.lists(
+            st.tuples(
+                st.sampled_from(["dev0", "dev1", "dev2"]),
+                st.sampled_from("abcdef"),
+                st.integers(min_value=1, max_value=20),
+            ),
+            min_size=2,
+            max_size=40,
+        ),
+    )
+    def test_equals_brute_force_and_stays_ordered(self, edges, raw):
+        contribs = [
+            Contribution(f"c{i}", dev, target, "issue", t) for i, (dev, target, t) in enumerate(raw)
+        ]
+        dc = DcGraph(
+            window=Window(0, 20),
+            dependency_edges=frozenset(edges),
+            contributions=tuple(contribs),
+            contribution_edges=frozenset((c.developer, c.target) for c in contribs),
+        )
+        pairs = congruent_contributions(dc)
+        rows = [
+            (p.developer, p.client, p.library, p.client_contribution, p.library_contribution)
+            for p in pairs
+        ]
+        assert set(rows) == congruence_brute_force(edges, contribs)
+        keys = [row[:3] for row in rows]
+        assert keys == sorted(set(keys))
 
 
 class TestFilterContributions:

@@ -18,7 +18,7 @@ from pkgverse.resolve import (
 )
 from pkgverse.semver import VersionRange
 
-from conftest import random_manifest_universe
+from conftest import random_manifest_universe, random_universe
 
 
 def manifest(name, release, deps=()):
@@ -243,6 +243,24 @@ class TestSnapshotView:
         g, _ = sample_universe()
         with pytest.raises(UnknownRoot):
             build_tree_at(g.timed_snapshot(5), "ghost", "1.0.0")
+
+    def test_build_tree_at_matches_full_registry(self, rng):
+        # dense random graphs: cyclic, with releases outside each root's closure
+        back_referencing = 0
+        for _ in range(8):
+            g = random_universe(rng, rng.randint(6, 22), p_edge=0.1)
+            last = max(u.time for u in g.units)
+            for at in (last // 2, last):
+                snap = g.timed_snapshot(at)
+                registry = ManifestRegistry.from_snapshot(snap)
+                for unit in sorted(snap.units, key=lambda u: u.uid):
+                    expected = tree_to_dict(
+                        build_nested_tree(registry.manifest(unit.name, unit.release), registry)
+                    )
+                    got = tree_to_dict(build_tree_at(snap, unit.name, unit.release))
+                    assert got == expected
+                    back_referencing += "back_reference" in repr(got)
+        assert back_referencing > 0
 
     def test_historic_resolution(self):
         g = UniverseGraph()

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pkgverse.contrib import Contribution
 from pkgverse.errors import InsufficientData, InvalidRange, UnknownPackage
@@ -19,6 +20,43 @@ from oracles import breakage_oracle
 
 def full_snapshot(g):
     return g.timed_snapshot(max(u.time for u in g.units))
+
+
+@st.composite
+def package_graphs(draw):
+    """A snapshot whose package projection has planted multi-member cycles,
+    random cross edges and isolated packages, plus a subset of its names:
+    empty, a singleton, all of them, or a random pick."""
+    n = draw(st.integers(min_value=1, max_value=14))
+    names = [f"p{i:02d}" for i in range(n)]
+    linked = names[: draw(st.integers(min_value=0, max_value=n))]  # the rest stay isolated
+    g = UniverseGraph()
+    releases = {}
+    for i, name in enumerate(names):
+        count = draw(st.integers(min_value=1, max_value=2))
+        releases[name] = [g.add_unit(name, str(r + 1), i + 100 * r) for r in range(count)]
+        if count == 2:
+            g.add_update_edge(*releases[name])
+    pairs = set()
+    if len(linked) >= 2:
+        for _ in range(draw(st.integers(min_value=0, max_value=3))):
+            cycle = draw(st.lists(st.sampled_from(linked), min_size=2, max_size=5, unique=True))
+            pairs.update(zip(cycle, cycle[1:] + cycle[:1]))
+        pair = st.tuples(st.sampled_from(linked), st.sampled_from(linked))
+        pairs.update(draw(st.lists(pair, max_size=3 * len(linked))))
+    for a, b in sorted(pairs):
+        if a != b:
+            g.add_use_edge(draw(st.sampled_from(releases[a])), draw(st.sampled_from(releases[b])))
+    kind = draw(st.sampled_from(("empty", "singleton", "full", "random")))
+    if kind == "empty":
+        subset = set()
+    elif kind == "singleton":
+        subset = {draw(st.sampled_from(names))}
+    elif kind == "full":
+        subset = set(names)
+    else:
+        subset = set(draw(st.lists(st.sampled_from(names), unique=True)))
+    return g.timed_snapshot(1000), subset
 
 
 class TestSampleSpec:
@@ -144,6 +182,27 @@ class TestChainBreakage:
             report = chain_breakage(snap, subset)
             dangling, broken, severed = breakage_oracle(snap, subset)
             assert report == BreakageReport(dangling, broken, severed)
+
+    @settings(deadline=None, max_examples=200)
+    @given(case=package_graphs())
+    def test_matches_oracle_on_cyclic_package_graphs(self, case):
+        snap, subset = case
+        report = chain_breakage(snap, subset)
+        assert report == BreakageReport(*breakage_oracle(snap, subset))
+        if subset == snap.names():
+            assert report.all_zero()
+
+    def test_long_linear_chain_does_not_recurse(self):
+        # p0000 -> p0001 -> ... -> p2999 drives the SCC search 3000 deep
+        n = 3000
+        g = UniverseGraph()
+        uids = [g.add_unit(f"p{i:04d}", "1", n - i) for i in range(n)]
+        for a, b in zip(uids, uids[1:]):
+            g.add_use_edge(a, b)
+        half = n // 2
+        report = chain_breakage(g.timed_snapshot(n), {f"p{i:04d}" for i in range(half)})
+        assert report.broken_transitive_paths == n * (n - 1) // 2 - half * (half - 1) // 2
+        assert report.dangling_use_edges == 1
 
     def test_removal_never_decreases_path_and_chain_counts(self, rng):
         # holds for the reachability and chain counts; the dangling count
