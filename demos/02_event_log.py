@@ -14,31 +14,31 @@ from pathlib import Path
 from pkgverse import EventLog, replay, replay_until
 from pkgverse.eventlog import unit_event, update_event, use_event
 
-workdir = Path(tempfile.mkdtemp(prefix="pkgverse-demo-"))
-log_path = workdir / "ecosystem.ndjson"
+with tempfile.TemporaryDirectory(prefix="pkgverse-demo-") as workdir:
+    log_path = Path(workdir) / "ecosystem.ndjson"
 
-with EventLog(log_path) as log:
-    log.append(unit_event("redis-client", "1.0.0", 100))
-    log.append(unit_event("redis-client", "1.1.0", 200))
-    log.append(unit_event("webapp", "0.9.0", 250))
-    log.append(use_event(("webapp", "0.9.0"), ("redis-client", "1.1.0")))
-    log.append(update_event(("redis-client", "1.0.0"), ("redis-client", "1.1.0")))
-    # two events that cannot be applied: an unknown target and a
-    # backwards-in-time update
-    log.append(use_event(("webapp", "0.9.0"), ("ghost", "1.0.0")))
-    log.append(update_event(("redis-client", "1.1.0"), ("redis-client", "1.0.0")))
+    with EventLog(log_path) as log:
+        log.append(unit_event("redis-client", "1.0.0", 100))
+        log.append(unit_event("redis-client", "1.1.0", 200))
+        log.append(unit_event("webapp", "0.9.0", 250))
+        log.append(use_event(("webapp", "0.9.0"), ("redis-client", "1.1.0")))
+        log.append(update_event(("redis-client", "1.0.0"), ("redis-client", "1.1.0")))
+        # two events that cannot be applied: an unknown target and a
+        # backwards-in-time update
+        log.append(use_event(("webapp", "0.9.0"), ("ghost", "1.0.0")))
+        log.append(update_event(("redis-client", "1.1.0"), ("redis-client", "1.0.0")))
 
-print("log contents:")
-for line in log_path.read_text().splitlines():
-    print("  ", line)
+    print("log contents:")
+    for line in log_path.read_text().splitlines():
+        print("  ", line)
 
-result = replay(log_path)
-print("\nreplayed:", result.graph)
-print("quarantined events:")
-for q in result.quarantine:
-    print(f"   line {q.line_no}: {q.reason} — {q.detail}")
+    result = replay(log_path)
+    print("\nreplayed:", result.graph)
+    print("quarantined events:")
+    for q in result.quarantine:
+        print(f"   line {q.line_no}: {q.reason} — {q.detail}")
 
-# the same log answers historical questions, keyed on release time
-early = replay_until(log_path, 150)
-print("\nstate at t=150:", early)
-print("state at t=300:", replay_until(log_path, 300))
+    # the same log answers historical questions, keyed on release time
+    early = replay_until(log_path, 150)
+    print("\nstate at t=150:", early)
+    print("state at t=300:", replay_until(log_path, 300))

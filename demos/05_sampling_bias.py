@@ -10,7 +10,6 @@ package is dormant-but-depended-upon rather than dead.
 """
 
 import tempfile
-from pathlib import Path
 
 from pkgverse import SampleSpec, activity_report, chain_breakage, sample_top_k, snapshot_series
 from pkgverse.export import export_snapshot_series
@@ -34,9 +33,9 @@ print("keeping everything severs nothing:", full.all_zero())
 
 series = snapshot_series(g, 0, now, 2)
 print("\nsnapshot series sizes:", [(s.at, len(s.units)) for s in series])
-out_dir = Path(tempfile.mkdtemp(prefix="pkgverse-series-"))
-paths = export_snapshot_series(series, out_dir)
-print("wrote", len(paths), "DOT files to", out_dir)
+with tempfile.TemporaryDirectory(prefix="pkgverse-series-") as out_dir:
+    paths = export_snapshot_series(series, out_dir)
+    print("wrote", len(paths), "DOT files:", ", ".join(p.name for p in paths))
 
 # x released nothing recently but still carries dependents: dormant, not dead
 activity = activity_report(g, "x", window=1, at=now)

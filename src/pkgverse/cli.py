@@ -24,6 +24,7 @@ import csv
 import io
 import json
 import sys
+from collections import Counter
 from dataclasses import asdict
 from pathlib import Path
 
@@ -79,11 +80,23 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
+def _emit_json(args, doc) -> None:
+    _emit(args, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
+def _emit_csv(args, rows) -> None:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    _emit(args, buf.getvalue())
+
+
 def _replay_log(args):
     result = replay(args.log, strict=args.strict)
     if result.quarantine:
+        reasons = Counter(q.reason for q in result.quarantine)
+        by_reason = ", ".join(f"{reason}: {n}" for reason, n in sorted(reasons.items()))
         print(
-            f"warning: {len(result.quarantine)} events quarantined during replay",
+            f"warning: {len(result.quarantine)} events quarantined during replay ({by_reason})",
             file=sys.stderr,
         )
     return result
@@ -193,12 +206,7 @@ def cmd_resolve(args) -> int:
     if args.style == "flat":
         tree = flatten_tree(tree)
     if args.format == "lock":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(("package", "path"))
-        for entry, path in iter_lock_entries(tree):
-            writer.writerow((entry, path))
-        _emit(args, buf.getvalue())
+        _emit_csv(args, [("package", "path"), *iter_lock_entries(tree)])
     else:
         doc = {
             "style": args.style,
@@ -207,7 +215,7 @@ def cmd_resolve(args) -> int:
                 {"name": c.name, "versions": sorted(c.versions)} for c in conflicts
             ],
         }
-        _emit(args, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        _emit_json(args, doc)
     print(f"{len(conflicts)} version conflicts", file=sys.stderr)
     return EXIT_QUARANTINED if result.quarantine else EXIT_OK
 
@@ -293,18 +301,15 @@ def cmd_sample(args) -> int:
     selected = sample_top_k(snap, spec, contributions=contributions, popularity=popularity)
     breakage = chain_breakage(snap, set(selected)) if args.measure_breakage else None
     if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
         counts = asdict(breakage) if breakage is not None else {}
-        writer.writerow(["rank", "package"] + sorted(counts))
-        for rank, package in enumerate(selected, start=1):
-            writer.writerow([rank, package] + [counts[k] for k in sorted(counts)])
-        _emit(args, buf.getvalue())
+        columns = sorted(counts)
+        rows = ([rank, name] + [counts[k] for k in columns] for rank, name in enumerate(selected, 1))
+        _emit_csv(args, [["rank", "package"] + columns, *rows])
     else:
         doc: dict = {"metric": args.metric, "k": args.k, "selected": selected}
         if breakage is not None:
             doc["breakage"] = asdict(breakage)
-        _emit(args, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        _emit_json(args, doc)
     print(f"selected {len(selected)} packages", file=sys.stderr)
     return EXIT_QUARANTINED if result.quarantine else EXIT_OK
 
@@ -321,13 +326,9 @@ def cmd_activity(args) -> int:
     )
     doc = asdict(report)
     if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(sorted(doc))
-        writer.writerow([doc[k] for k in sorted(doc)])
-        _emit(args, buf.getvalue())
+        _emit_csv(args, [sorted(doc), [doc[k] for k in sorted(doc)]])
     else:
-        _emit(args, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        _emit_json(args, doc)
     return EXIT_QUARANTINED if result.quarantine else EXIT_OK
 
 
@@ -338,19 +339,10 @@ def cmd_registries(args) -> int:
         if not table:
             raise PkgverseError(f"unknown registry {args.ecosystem!r}")
     if args.format == "json":
-        doc = [r.__dict__ for r in table]
-        _emit(args, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        _emit_json(args, [r.__dict__ for r in table])
     else:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(
-            ("ecosystem", "language", "tiobe_rank", "environment", "tree_style", "archive_url")
-        )
-        for r in table:
-            writer.writerow(
-                (r.ecosystem, r.language, r.tiobe_rank, r.environment, r.tree_style, r.archive_url)
-            )
-        _emit(args, buf.getvalue())
+        columns = ("ecosystem", "language", "tiobe_rank", "environment", "tree_style", "archive_url")
+        _emit_csv(args, [columns, *([getattr(r, c) for c in columns] for r in table)])
     return EXIT_OK
 
 

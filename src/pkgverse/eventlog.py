@@ -27,6 +27,7 @@ and will observe a prefix.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -164,19 +165,26 @@ class EventLog:
         self._next_seq: int | None = None
 
     def _scan_last_seq(self) -> int:
-        last = 0
-        if self.path.exists():
-            with self.path.open("r", encoding="utf-8") as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        seq = json.loads(line).get("seq")
-                    except json.JSONDecodeError:
-                        continue  # damaged tail; next append still moves forward
-                    if isinstance(seq, int) and seq > last:
-                        last = seq
+        """Last committed ``seq``. A record commits with its trailing newline;
+        the torn tail of an interrupted append is truncated here, before the
+        first write, so no new record is glued onto it."""
+        last = committed = 0
+        if not self.path.exists():
+            return last
+        with self.path.open("rb") as fh:
+            for line in fh:
+                if not line.endswith(b"\n"):
+                    break
+                committed += len(line)
+                try:
+                    seq = json.loads(line).get("seq")
+                except (json.JSONDecodeError, UnicodeDecodeError):
+                    continue  # damaged record; replay reports it
+                if isinstance(seq, int) and seq > last:
+                    last = seq
+            torn = fh.tell() > committed
+        if torn:
+            os.truncate(self.path, committed)
         return last
 
     def append(self, event: EcosystemEvent) -> int:
@@ -314,14 +322,12 @@ def replay_until(log: EventLog | str | Path, t: int, *, strict: bool = False) ->
     ``t``, returned as a plain graph (handles are renumbered in release
     order of the surviving units' original insertion).
     """
-    full = replay(log, strict=strict)
-    snap = full.graph.timed_snapshot(t)
+    snap = replay(log, strict=strict).graph.timed_snapshot(t)
     g = UniverseGraph(strict=strict)
-    old_to_new: dict[int, int] = {}
-    for unit in sorted(snap.units, key=lambda u: u.uid):
-        old_to_new[unit.uid] = g.add_unit(unit.name, unit.release, unit.time)
+    units = sorted(snap.units, key=lambda u: u.uid)
+    new = {u.uid: g.add_unit(u.name, u.release, u.time) for u in units}
     for e in sorted(snap.use_edges, key=lambda e: (e.src, e.dst)):
-        g.add_use_edge(old_to_new[e.src], old_to_new[e.dst])
+        g.add_use_edge(new[e.src], new[e.dst])
     for e in sorted(snap.update_edges, key=lambda e: (e.src, e.dst)):
-        g.add_update_edge(old_to_new[e.src], old_to_new[e.dst])
+        g.add_update_edge(new[e.src], new[e.dst])
     return g

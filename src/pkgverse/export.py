@@ -116,13 +116,13 @@ def write_congruence_csv(fh, rows: list[tuple[Window, CongruentPair]]) -> None:
         )
 
 
-def export_snapshot_series(series: list[TimedSnapshot], directory, prefix: str = "snapshot") -> list[Path]:
+def export_snapshot_series(series: list[TimedSnapshot], directory) -> list[Path]:
     """Write one DOT file per snapshot into ``directory``; returns paths."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     paths = []
     for snap in series:
-        path = directory / f"{prefix}_{snap.at}.dot"
+        path = directory / f"snapshot_{snap.at}.dot"
         path.write_text(snapshot_to_dot(snap), encoding="utf-8")
         paths.append(path)
     return paths

@@ -9,6 +9,13 @@ removed, so the stored sets only grow over time. Historical states are
 answered by :meth:`UniverseGraph.timed_snapshot`, which induces the
 immutable subgraph of everything released at or before an instant.
 
+Time index: an edge joins every snapshot from its activation time
+``max(t_src, t_dst)`` on. The graph keeps units ordered by (time, handle)
+and edges by activation time, sorting once on the first snapshot after a
+write, so a snapshot is a bisected prefix. Snapshots build the lookup maps
+behind their read queries from their own fields on first query, and the
+queries themselves are shared with the live graph.
+
 Structural rules enforced on every write:
 
 * ``(name, release)`` is unique; name and release are non-empty.
@@ -28,8 +35,10 @@ writes, and snapshots are immutable values safe to share across threads.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+from bisect import bisect_right
+from dataclasses import dataclass
+from functools import cached_property
+from operator import attrgetter
 
 from .errors import (
     BranchingUpdate,
@@ -100,21 +109,86 @@ class GrowthDelta:
         return not (self.added_units or self.added_use_edges or self.added_update_edges)
 
 
-def _reachable(use_of, start: int) -> set[int]:
-    """All units reachable from ``start`` over use-edges, excluding start
-    itself unless it lies on a cycle (caller strips it)."""
-    seen: set[int] = set()
-    queue = deque(use_of(start))
-    while queue:
-        uid = queue.popleft()
-        if uid in seen:
-            continue
-        seen.add(uid)
-        queue.extend(v for v in use_of(uid) if v not in seen)
-    return seen
+class _Timeline:
+    """Append-only values with fixed times, answered as time prefixes.
+
+    :meth:`upto` sorts the columns (stably) on its first call after an
+    append. It stores them before setting the flag, so a reader that finds
+    the flag set never bisects unsorted columns.
+    """
+
+    __slots__ = ("cols", "is_sorted")
+
+    def __init__(self):
+        self.cols: tuple[list[int], list] = ([], [])  # (times, values)
+        self.is_sorted = True
+
+    def append(self, time: int, value) -> None:
+        self.cols[0].append(time)
+        self.cols[1].append(value)
+        self.is_sorted = False
+
+    def upto(self, at: int) -> frozenset:
+        """Every value whose time is at or before ``at``."""
+        if not self.is_sorted:
+            times, values = self.cols
+            order = sorted(range(len(times)), key=times.__getitem__)
+            self.cols = ([times[i] for i in order], [values[i] for i in order])
+            self.is_sorted = True
+        times, values = self.cols
+        return frozenset(values[: bisect_right(times, at)])
 
 
-class UniverseGraph:
+class _ReadQueries:
+    """Read queries shared by :class:`UniverseGraph` and :class:`TimedSnapshot`.
+
+    A subclass supplies ``unit(uid)``, which raises :class:`UnknownUnit`, and
+    the maps ``_by_name`` (name -> handles in handle order), ``_use_out`` and
+    ``_use_in`` (handle -> the handles it uses / that use it)."""
+
+    def names(self) -> set[str]:
+        return set(self._by_name)
+
+    def units_of_name(self, name: str) -> list[int]:
+        return list(self._by_name.get(name, ()))
+
+    def use_of(self, uid: int) -> set[int]:
+        """Out-neighbourhood over use-edges: everything ``uid`` uses."""
+        self.unit(uid)
+        return set(self._use_out.get(uid, ()))
+
+    def used_by(self, uid: int) -> set[int]:
+        """In-neighbourhood over use-edges: everything using ``uid``."""
+        self.unit(uid)
+        return set(self._use_in.get(uid, ()))
+
+    def update_chain(self, name: str) -> list[int]:
+        """All releases of ``name``, oldest first.
+
+        Update edges carry strictly increasing timestamps, so ordering by
+        (time, handle) respects every chain while interleaving units that
+        have no update edges. Unknown names yield an empty list.
+        """
+        return sorted(self._by_name.get(name, ()), key=lambda u: (self.unit(u).time, u))
+
+    def transitive_dependencies(self, uid: int) -> set[int]:
+        """Everything reachable from ``uid`` over use-edges, minus ``uid``.
+
+        Terminates on cyclic graphs; a unit on a cycle through itself is
+        still excluded from its own result.
+        """
+        self.unit(uid)
+        out, seen, stack = self._use_out, set(), [uid]
+        while stack:
+            for v in out.get(stack.pop(), ()):
+                if v not in seen:
+                    seen.add(v)
+                    stack.append(v)
+        seen.discard(uid)
+        return seen
+
+
+class UniverseGraph(_ReadQueries):
     """Append-only graph of software units, use-edges and update-edges."""
 
     def __init__(self, strict: bool = False):
@@ -122,12 +196,14 @@ class UniverseGraph:
         self._units: list[SoftwareUnit] = []
         self._by_key: dict[tuple[str, str], int] = {}
         self._by_name: dict[str, list[int]] = {}
-        self._use_edges: set[UseEdge] = set()
         self._use_out: dict[int, set[int]] = {}
         self._use_in: dict[int, set[int]] = {}
-        self._update_edges: set[UpdateEdge] = set()
         self._successor: dict[int, int] = {}
         self._predecessor: dict[int, int] = {}
+        # the time index: units by release time, edges by activation time
+        self._unit_timeline = _Timeline()
+        self._use_timeline = _Timeline()
+        self._update_timeline = _Timeline()
         #: use-edges accepted despite the target postdating the source
         self.anomalies: list[UseEdge] = []
 
@@ -145,37 +221,35 @@ class UniverseGraph:
         if key in self._by_key:
             raise DuplicateUnit(f"{name}@{release} already present")
         uid = len(self._units)
-        self._units.append(SoftwareUnit(uid, name, release, int(time)))
+        unit = SoftwareUnit(uid, name, release, int(time))
+        self._units.append(unit)
         self._by_key[key] = uid
         self._by_name.setdefault(name, []).append(uid)
+        self._unit_timeline.append(unit.time, unit)
         return uid
 
     def add_use_edge(self, src: int, dst: int) -> UseEdge:
         """Record that ``src`` uses ``dst``."""
-        self._check_uid(src)
-        self._check_uid(dst)
+        t_src, t_dst = self.unit(src).time, self.unit(dst).time
         if src == dst:
             raise SelfLoop(f"unit {self._label(src)} cannot use itself")
-        edge = UseEdge(src, dst)
-        if edge in self._use_edges:
+        if dst in self._use_out.get(src, ()):
             raise ParallelEdge(f"{self._label(src)} -> {self._label(dst)} already present")
-        anomalous = self._units[dst].time > self._units[src].time
-        if anomalous and self.strict:
+        if t_dst > t_src and self.strict:
             raise TimeAnomaly(
                 f"{self._label(src)} uses {self._label(dst)} released later"
             )
-        self._use_edges.add(edge)
+        edge = UseEdge(src, dst)
         self._use_out.setdefault(src, set()).add(dst)
         self._use_in.setdefault(dst, set()).add(src)
-        if anomalous:
+        self._use_timeline.append(max(t_src, t_dst), edge)
+        if t_dst > t_src:
             self.anomalies.append(edge)
         return edge
 
     def add_update_edge(self, src: int, dst: int) -> UpdateEdge:
         """Record that ``dst`` is the immediate successor release of ``src``."""
-        self._check_uid(src)
-        self._check_uid(dst)
-        u, v = self._units[src], self._units[dst]
+        u, v = self.unit(src), self.unit(dst)
         if u.name != v.name:
             raise NameAxiomViolation(f"{self._label(src)} => {self._label(dst)}")
         if not u.time < v.time:
@@ -187,15 +261,16 @@ class UniverseGraph:
         if dst in self._predecessor:
             raise BranchingUpdate(f"{self._label(dst)} already has a predecessor")
         edge = UpdateEdge(src, dst)
-        self._update_edges.add(edge)
         self._successor[src] = dst
         self._predecessor[dst] = src
+        self._update_timeline.append(v.time, edge)
         return edge
 
     # --- lookup --------------------------------------------------------
 
     def unit(self, uid: int) -> SoftwareUnit:
-        self._check_uid(uid)
+        if not isinstance(uid, int) or not 0 <= uid < len(self._units):
+            raise UnknownUnit(f"no unit with handle {uid!r}")
         return self._units[uid]
 
     def find(self, name: str, release: str) -> int | None:
@@ -208,68 +283,24 @@ class UniverseGraph:
 
     @property
     def use_edges(self) -> frozenset[UseEdge]:
-        return frozenset(self._use_edges)
+        return frozenset(self._use_timeline.cols[1])
 
     @property
     def update_edges(self) -> frozenset[UpdateEdge]:
-        return frozenset(self._update_edges)
+        return frozenset(self._update_timeline.cols[1])
 
     def unit_count(self) -> int:
         return len(self._units)
 
-    def names(self) -> set[str]:
-        return set(self._by_name)
-
-    def units_of_name(self, name: str) -> list[int]:
-        return list(self._by_name.get(name, ()))
-
-    # --- queries ---------------------------------------------------------
-
-    def use_of(self, uid: int) -> set[int]:
-        """Out-neighbourhood over use-edges: everything ``uid`` uses."""
-        self._check_uid(uid)
-        return set(self._use_out.get(uid, ()))
-
-    def used_by(self, uid: int) -> set[int]:
-        """In-neighbourhood over use-edges: everything using ``uid``."""
-        self._check_uid(uid)
-        return set(self._use_in.get(uid, ()))
-
-    def update_chain(self, name: str) -> list[int]:
-        """All releases of ``name``, oldest first.
-
-        Update edges carry strictly increasing timestamps, so ordering by
-        (time, handle) respects every chain while interleaving units that
-        have no update edges. Unknown names yield an empty list.
-        """
-        uids = self._by_name.get(name, ())
-        return sorted(uids, key=lambda u: (self._units[u].time, u))
-
-    def transitive_dependencies(self, uid: int) -> set[int]:
-        """Everything reachable from ``uid`` over use-edges, minus ``uid``.
-
-        Terminates on cyclic graphs; a unit on a cycle through itself is
-        still excluded from its own result.
-        """
-        self._check_uid(uid)
-        reach = _reachable(lambda u: self._use_out.get(u, ()), uid)
-        reach.discard(uid)
-        return reach
-
     def timed_snapshot(self, at: int) -> TimedSnapshot:
         """Immutable state of the graph at time ``at``: units released at or
         before ``at`` plus the edges induced on them."""
-        uids = {u.uid for u in self._units if u.time <= at}
-        units = frozenset(u for u in self._units if u.uid in uids)
-        use = frozenset(e for e in self._use_edges if e.src in uids and e.dst in uids)
-        upd = frozenset(e for e in self._update_edges if e.src in uids and e.dst in uids)
-        return TimedSnapshot(at=at, units=units, use_edges=use, update_edges=upd)
-
-    # --- internal --------------------------------------------------------
-
-    def _check_uid(self, uid: int) -> None:
-        if not isinstance(uid, int) or not 0 <= uid < len(self._units):
-            raise UnknownUnit(f"no unit with handle {uid!r}")
+        return TimedSnapshot(
+            at=at,
+            units=self._unit_timeline.upto(at),
+            use_edges=self._use_timeline.upto(at),
+            update_edges=self._update_timeline.upto(at),
+        )
 
     def _label(self, uid: int) -> str:
         u = self._units[uid]
@@ -280,19 +311,17 @@ class UniverseGraph:
             return NotImplemented
         return (
             self._units == other._units
-            and self._use_edges == other._use_edges
-            and self._update_edges == other._update_edges
+            and self.use_edges == other.use_edges
+            and self.update_edges == other.update_edges
         )
 
     def __repr__(self) -> str:
-        return (
-            f"UniverseGraph(units={len(self._units)}, "
-            f"use_edges={len(self._use_edges)}, update_edges={len(self._update_edges)})"
-        )
+        n_use, n_upd = len(self._use_timeline.cols[0]), len(self._update_timeline.cols[0])
+        return f"UniverseGraph(units={len(self._units)}, use_edges={n_use}, update_edges={n_upd})"
 
 
 @dataclass(frozen=True)
-class TimedSnapshot:
+class TimedSnapshot(_ReadQueries):
     """Frozen subgraph of everything released at or before ``at``.
 
     Equality and hashing consider only the declared fields, so two
@@ -304,64 +333,43 @@ class TimedSnapshot:
     units: frozenset[SoftwareUnit]
     use_edges: frozenset[UseEdge]
     update_edges: frozenset[UpdateEdge]
-    _idx: dict = field(init=False, repr=False, compare=False, default=None)
 
-    def __post_init__(self):
-        by_uid = {u.uid: u for u in self.units}
+    @cached_property
+    def _by_uid(self) -> dict[int, SoftwareUnit]:
+        return {u.uid: u for u in self.units}
+
+    @cached_property
+    def _by_name(self) -> dict[str, list[int]]:
         by_name: dict[str, list[int]] = {}
-        for u in sorted(self.units, key=lambda x: x.uid):
+        for u in sorted(self.units, key=attrgetter("uid")):
             by_name.setdefault(u.name, []).append(u.uid)
+        return by_name
+
+    @cached_property
+    def _use_out(self) -> dict[int, set[int]]:
         out: dict[int, set[int]] = {}
-        into: dict[int, set[int]] = {}
         for e in self.use_edges:
             out.setdefault(e.src, set()).add(e.dst)
-            into.setdefault(e.dst, set()).add(e.src)
-        object.__setattr__(
-            self,
-            "_idx",
-            {"by_uid": by_uid, "by_name": by_name, "out": out, "in": into},
-        )
+        return out
 
-    # Snapshots answer the same read queries as the live graph.
+    @cached_property
+    def _use_in(self) -> dict[int, set[int]]:
+        into: dict[int, set[int]] = {}
+        for e in self.use_edges:
+            into.setdefault(e.dst, set()).add(e.src)
+        return into
 
     def unit(self, uid: int) -> SoftwareUnit:
         try:
-            return self._idx["by_uid"][uid]
+            return self._by_uid[uid]
         except KeyError:
             raise UnknownUnit(f"no unit with handle {uid!r} in snapshot") from None
 
-    def has_unit(self, uid: int) -> bool:
-        return uid in self._idx["by_uid"]
-
     def find(self, name: str, release: str) -> int | None:
-        for uid in self._idx["by_name"].get(name, ()):
-            if self._idx["by_uid"][uid].release == release:
+        for uid in self._by_name.get(name, ()):
+            if self._by_uid[uid].release == release:
                 return uid
         return None
-
-    def names(self) -> set[str]:
-        return set(self._idx["by_name"])
-
-    def units_of_name(self, name: str) -> list[int]:
-        return list(self._idx["by_name"].get(name, ()))
-
-    def use_of(self, uid: int) -> set[int]:
-        self.unit(uid)
-        return set(self._idx["out"].get(uid, ()))
-
-    def used_by(self, uid: int) -> set[int]:
-        self.unit(uid)
-        return set(self._idx["in"].get(uid, ()))
-
-    def update_chain(self, name: str) -> list[int]:
-        by_uid = self._idx["by_uid"]
-        return sorted(self._idx["by_name"].get(name, ()), key=lambda u: (by_uid[u].time, u))
-
-    def transitive_dependencies(self, uid: int) -> set[int]:
-        self.unit(uid)
-        reach = _reachable(lambda u: self._idx["out"].get(u, ()), uid)
-        reach.discard(uid)
-        return reach
 
     def package_dependency_edges(self) -> frozenset[tuple[str, str]]:
         """Package-level projection of the use-edges.
@@ -370,13 +378,9 @@ class TimedSnapshot:
         (client, library) pair; edges between releases of the same name are
         not dependencies at package granularity and are dropped.
         """
-        by_uid = self._idx["by_uid"]
-        pairs = set()
-        for e in self.use_edges:
-            a, b = by_uid[e.src].name, by_uid[e.dst].name
-            if a != b:
-                pairs.add((a, b))
-        return frozenset(pairs)
+        by_uid = self._by_uid
+        pairs = ((by_uid[e.src].name, by_uid[e.dst].name) for e in self.use_edges)
+        return frozenset((a, b) for a, b in pairs if a != b)
 
     def is_subgraph_of(self, other: "TimedSnapshot") -> bool:
         return (
@@ -399,12 +403,5 @@ def diff(older: TimedSnapshot, newer: TimedSnapshot) -> GrowthDelta:
     added_use = newer.use_edges - older.use_edges
     added_upd = newer.update_edges - older.update_edges
     new_uids = {u.uid for u in added_units}
-    strict = all(
-        e.src in new_uids or e.dst in new_uids for e in added_use
-    ) and all(e.src in new_uids or e.dst in new_uids for e in added_upd)
-    return GrowthDelta(
-        added_units=frozenset(added_units),
-        added_use_edges=frozenset(added_use),
-        added_update_edges=frozenset(added_upd),
-        strict_growth=strict,
-    )
+    strict = all(e.src in new_uids or e.dst in new_uids for e in added_use | added_upd)
+    return GrowthDelta(added_units, added_use, added_upd, strict)

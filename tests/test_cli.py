@@ -5,7 +5,7 @@ import json
 import pytest
 
 from pkgverse.cli import main
-from pkgverse.eventlog import EventLog
+from pkgverse.eventlog import EventLog, update_event, use_event
 from pkgverse.fixtures import client_library_fixture, sample_universe_events
 
 from oracles import check_dot_document
@@ -177,6 +177,25 @@ class TestSnapshot:
 
     def test_bad_timestamp_is_fatal(self, universe_log, capsys):
         assert main(["snapshot", "--log", str(universe_log), "--at", "whenever"]) == 1
+
+
+class TestReplayWarning:
+    def test_quarantine_reasons_on_stderr_only(self, tmp_path, capsys):
+        clean, dirty = tmp_path / "clean.ndjson", tmp_path / "dirty.ndjson"
+        for path, extra in ((clean, []), (dirty, [
+            use_event(("a", "1"), ("ghost", "1")),
+            update_event(("q", "3"), ("q", "1")),
+            update_event(("q", "2"), ("q", "1")),
+        ])):
+            with EventLog(path) as log:
+                for event in [*sample_universe_events(extended=True), *extra]:
+                    log.append(event)
+        assert main(["snapshot", "--log", str(clean), "--at", "100"]) == 0
+        expected = capsys.readouterr().out
+        assert main(["snapshot", "--log", str(dirty), "--at", "100"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == expected
+        assert "3 events quarantined during replay (TimeOrderViolation: 2, UnknownUnit: 1)" in captured.err
 
 
 class TestResolve:

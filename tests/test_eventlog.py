@@ -39,6 +39,23 @@ class TestAppend:
         assert log.append(unit_event("a", "2", 20)) == 2
         log.close()
 
+    def test_torn_tail_is_dropped_before_the_next_append(self, tmp_path):
+        # an append interrupted mid-record leaves bytes without the
+        # committing newline; the next append must not be glued onto them
+        path = tmp_path / "log.ndjson"
+        write_log(path, [unit_event("a", "1", 10), unit_event("a", "2", 20)])
+        with path.open("a", encoding="utf-8") as fh:
+            fh.write('{"v":1,"seq":3,"kind":"un')
+        with EventLog(path) as log:
+            assert log.append(unit_event("a", "3", 30)) == 3
+            assert log.append(unit_event("a", "4", 40)) == 4
+        result = replay(path)
+        assert result.quarantine == []
+        assert [(u.release, u.time) for u in result.graph.units] == [
+            ("1", 10), ("2", 20), ("3", 30), ("4", 40)
+        ]
+        assert [json.loads(line)["seq"] for line in path.read_text().splitlines()] == [1, 2, 3, 4]
+
     def test_malformed_payload_rejected(self, tmp_path):
         log = EventLog(tmp_path / "log.ndjson")
         with pytest.raises(SchemaError):

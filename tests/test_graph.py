@@ -13,6 +13,7 @@ from pkgverse.errors import (
 )
 from pkgverse.fixtures import sample_universe, sample_universe_extended
 from pkgverse.graph import GrowthDelta, UniverseGraph, UseEdge, diff
+from pkgverse.sampling import snapshot_series
 
 from conftest import random_universe
 from oracles import (
@@ -198,6 +199,42 @@ class TestSnapshots:
         snap = g.timed_snapshot(3)
         with pytest.raises(Exception):
             snap.at = 99
+
+
+class TestTimeIndex:
+    def test_snapshots_track_interleaved_writes(self, rng):
+        # release times are drawn from the whole range, so new units are
+        # often older than existing ones, and edges join arbitrary existing
+        # units: every write can land inside an already sorted prefix
+        for _ in range(6):
+            g = UniverseGraph()
+            taken = []
+            for step in range(150):
+                n = g.unit_count()
+                op = rng.random()
+                try:
+                    if op < 0.4 or n < 2:
+                        g.add_unit(f"p{rng.randrange(6)}", str(rng.randrange(40)), rng.randrange(50))
+                    elif op < 0.8:
+                        g.add_use_edge(rng.randrange(n), rng.randrange(n))
+                    else:
+                        g.add_update_edge(rng.randrange(n), rng.randrange(n))
+                except (DuplicateUnit, SelfLoop, ParallelEdge, NameAxiomViolation,
+                        TimeOrderViolation, BranchingUpdate):
+                    pass
+                t = rng.randrange(-1, 52)
+                snap = g.timed_snapshot(t)
+                assert snap == brute_snapshot(g, t)
+                if step % 5 == 0:
+                    chains = {name: snap.update_chain(name) for name in snap.names()}
+                    taken.append((snap, brute_snapshot(g, t), chains))
+                for earlier, value, chains in taken:
+                    assert earlier == value
+                    assert {name: earlier.update_chain(name) for name in earlier.names()} == chains
+                if step % 25 == 24:
+                    t0, step_t = rng.randrange(-1, 10), rng.randrange(1, 12)
+                    series = snapshot_series(g, t0, 55, step_t)
+                    assert series == [brute_snapshot(g, t) for t in range(t0, 56, step_t)]
 
 
 class TestDiff:
