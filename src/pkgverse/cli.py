@@ -53,7 +53,7 @@ from .ingest import (
     parse_timestamp,
 )
 from .resolve import build_tree_at, detect_conflicts, flatten_tree, iter_lock_entries, tree_to_dict
-from .sampling import SampleSpec, activity_report, chain_breakage, sample_top_k, snapshot_series
+from .sampling import METRICS, SampleSpec, activity_report, chain_breakage, sample_top_k, snapshot_series
 
 EXIT_OK = 0
 EXIT_FATAL = 1
@@ -181,8 +181,6 @@ def cmd_snapshot(args) -> int:
         "dot": export.snapshot_to_dot,
         "graphml": export.snapshot_to_graphml,
     }
-    if args.format not in renderers:
-        raise PkgverseError(f"snapshot cannot be rendered as {args.format!r}")
     _emit(args, renderers[args.format](snap))
     print(
         f"snapshot at t={at}: {len(snap.units)} units, "
@@ -239,7 +237,7 @@ def cmd_congruence(args) -> int:
         for c in contributions:
             by_dev.setdefault(c.developer, []).append(c)
         for dev, items in by_dev.items():
-            flagged, score = classify_bot(dev, items)
+            _, score = classify_bot(dev, items)
             if score >= args.bot_threshold:
                 excluded.add(dev)
     contributions = filter_contributions(
@@ -405,8 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_congruence)
 
     p = commands.add_parser("sample", help="pick top-k packages and measure breakage")
-    p.add_argument("--metric", required=True,
-                   choices=("dependents", "contributors", "activity", "popularity"))
+    p.add_argument("--metric", required=True, choices=METRICS)
     p.add_argument("--k", required=True, type=int)
     p.add_argument("--at", help="sample the snapshot at this time (default: latest)")
     p.add_argument("--contributions", help="NDJSON records (required for metric=contributors)")
@@ -441,10 +438,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except PkgverseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FATAL
-    except OSError as exc:
+    except (PkgverseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FATAL
 

@@ -18,8 +18,7 @@ Wire schema (schema version ``v: 1``), one event per line::
     {"v":1,"seq":5,"kind":"developer-alias","canonical":"alice","alias":"a.jones"}
 
 ``seq`` is assigned by the log on append, never by the caller, so a single
-log is gap-free. ``recorded_at`` provenance is written only when a caller
-supplies it; temporal queries key on release time, not on recording time.
+log is gap-free. Temporal queries key on release time.
 One process writes a given log at a time; readers may stream concurrently
 and will observe a prefix.
 """
@@ -55,12 +54,10 @@ CONTRIBUTION_TYPES = ("pr", "issue", "discussion")
 
 @dataclass(frozen=True)
 class EcosystemEvent:
-    """One validated event; ``seq`` is filled in by the log on append."""
+    """One validated event; the log assigns its ``seq`` on append."""
 
     kind: str
     payload: dict
-    seq: int | None = None
-    recorded_at: int | None = None
 
 
 def _require(payload: dict, key: str, types) -> object:
@@ -197,8 +194,6 @@ class EventLog:
         seq = self._next_seq
         record: dict = {"v": SCHEMA_VERSION, "seq": seq, "kind": event.kind}
         record.update(payload)
-        if event.recorded_at is not None:
-            record["recorded_at"] = int(event.recorded_at)
         self._fh.write(json.dumps(record, separators=(",", ":")) + "\n")
         self._fh.flush()
         self._next_seq = seq + 1

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
-import xml.etree.ElementTree as ET
+from operator import attrgetter
 from pathlib import Path
 
 from .contrib import CongruentPair, Window
@@ -28,64 +28,83 @@ def _dot_quote(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
+def _xml_text(text: str) -> str:
+    # what xml.sax.saxutils.escape does, without the urllib.request import
+    # it drags in (6 MB of RSS in every process that imports pkgverse)
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
+def _sorted_parts(snapshot: TimedSnapshot):
+    """Units by handle, then use-edges and update-edges by (src, dst)."""
+    ends = attrgetter("src", "dst")
+    return (
+        sorted(snapshot.units, key=attrgetter("uid")),
+        sorted(snapshot.use_edges, key=ends),
+        sorted(snapshot.update_edges, key=ends),
+    )
+
+
 def snapshot_to_dot(snapshot: TimedSnapshot) -> str:
     """Graphviz document: solid arrows for use-edges, dashed for updates."""
+    units, use_edges, update_edges = _sorted_parts(snapshot)
     lines = ["digraph universe {"]
-    units = sorted(snapshot.units, key=lambda u: u.uid)
     for u in units:
         label = _dot_quote(f"{u.name}@{u.release}")
         lines.append(f"  n{u.uid} [label={label}, time={u.time}];")
-    for e in sorted(snapshot.use_edges, key=lambda e: (e.src, e.dst)):
+    for e in use_edges:
         lines.append(f"  n{e.src} -> n{e.dst};")
-    for e in sorted(snapshot.update_edges, key=lambda e: (e.src, e.dst)):
+    for e in update_edges:
         lines.append(f"  n{e.src} -> n{e.dst} [style=dashed];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
-_GRAPHML_KEYS = (
-    ("d_name", "node", "name", "string"),
-    ("d_release", "node", "release", "string"),
-    ("d_time", "node", "time", "long"),
-    ("d_kind", "edge", "kind", "string"),
+_GRAPHML_HEAD = (
+    "<?xml version='1.0' encoding='utf-8'?>",
+    '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">',
+    '  <key for="node" attr.name="name" attr.type="string" id="d_name" />',
+    '  <key for="node" attr.name="release" attr.type="string" id="d_release" />',
+    '  <key for="node" attr.name="time" attr.type="long" id="d_time" />',
+    '  <key for="edge" attr.name="kind" attr.type="string" id="d_kind" />',
 )
 
 
 def snapshot_to_graphml(snapshot: TimedSnapshot) -> str:
-    root = ET.Element("graphml", xmlns="http://graphml.graphdrawing.org/xmlns")
-    for key_id, domain, name, dtype in _GRAPHML_KEYS:
-        ET.SubElement(
-            root, "key", id=key_id, attrib={"for": domain, "attr.name": name, "attr.type": dtype}
-        )
-    graph = ET.SubElement(root, "graph", id="universe", edgedefault="directed")
-    for u in sorted(snapshot.units, key=lambda u: u.uid):
-        node = ET.SubElement(graph, "node", id=f"n{u.uid}")
-        for key_id, value in (("d_name", u.name), ("d_release", u.release), ("d_time", str(u.time))):
-            data = ET.SubElement(node, "data", key=key_id)
-            data.text = value
-    edges = [(e, "use") for e in sorted(snapshot.use_edges, key=lambda e: (e.src, e.dst))]
-    edges += [(e, "update") for e in sorted(snapshot.update_edges, key=lambda e: (e.src, e.dst))]
-    for i, (e, kind) in enumerate(edges):
-        el = ET.SubElement(graph, "edge", id=f"e{i}", source=f"n{e.src}", target=f"n{e.dst}")
-        data = ET.SubElement(el, "data", key="d_kind")
-        data.text = kind
-    ET.indent(root)
-    return ET.tostring(root, encoding="unicode", xml_declaration=True) + "\n"
+    """GraphML document, indented two spaces per level; names and releases
+    are escaped as XML text."""
+    units, use_edges, update_edges = _sorted_parts(snapshot)
+    lines = list(_GRAPHML_HEAD)
+    if not (units or use_edges or update_edges):
+        lines.append('  <graph id="universe" edgedefault="directed" />')
+    else:
+        lines.append('  <graph id="universe" edgedefault="directed">')
+        for u in units:
+            lines += [
+                f'    <node id="n{u.uid}">',
+                f'      <data key="d_name">{_xml_text(u.name)}</data>',
+                f'      <data key="d_release">{_xml_text(u.release)}</data>',
+                f'      <data key="d_time">{u.time}</data>',
+                "    </node>",
+            ]
+        edges = [(e, "use") for e in use_edges] + [(e, "update") for e in update_edges]
+        for i, (e, kind) in enumerate(edges):
+            lines += [
+                f'    <edge id="e{i}" source="n{e.src}" target="n{e.dst}">',
+                f'      <data key="d_kind">{kind}</data>',
+                "    </edge>",
+            ]
+        lines.append("  </graph>")
+    lines.append("</graphml>")
+    return "\n".join(lines) + "\n"
 
 
 def snapshot_to_json(snapshot: TimedSnapshot) -> str:
+    units, use_edges, update_edges = _sorted_parts(snapshot)
     doc = {
         "at": snapshot.at,
-        "units": [
-            {"uid": u.uid, "name": u.name, "release": u.release, "time": u.time}
-            for u in sorted(snapshot.units, key=lambda u: u.uid)
-        ],
-        "use_edges": [
-            [e.src, e.dst] for e in sorted(snapshot.use_edges, key=lambda e: (e.src, e.dst))
-        ],
-        "update_edges": [
-            [e.src, e.dst] for e in sorted(snapshot.update_edges, key=lambda e: (e.src, e.dst))
-        ],
+        "units": [{"uid": u.uid, "name": u.name, "release": u.release, "time": u.time} for u in units],
+        "use_edges": [[e.src, e.dst] for e in use_edges],
+        "update_edges": [[e.src, e.dst] for e in update_edges],
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 

@@ -83,10 +83,6 @@ class ManifestRegistry:
     def manifest(self, name: str, release: str) -> Manifest | None:
         return self._manifests.get(name, {}).get(release)
 
-    def __contains__(self, key: tuple[str, str]) -> bool:
-        name, release = key
-        return release in self._manifests.get(name, {})
-
     @classmethod
     def from_snapshot(cls, snapshot: TimedSnapshot) -> "ManifestRegistry":
         """Manifest view of a timed snapshot: each unit's declared

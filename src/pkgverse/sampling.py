@@ -293,29 +293,29 @@ def activity_report(
     """Summarize one package's recent releases and current dependents.
 
     ``at`` defaults to the newest release time in the graph; the window is
-    the half-open interval ``(at - window, at]``.
+    the half-open interval ``(at - window, at]``. On a live graph only
+    units released at or before ``at`` count, as in ``g.timed_snapshot(at)``,
+    but the query reads the graph's own maps instead of building that
+    snapshot; a snapshot is read whole.
     """
-    if isinstance(g, UniverseGraph):
-        if at is None:
-            if not g.unit_count():
-                raise UnknownPackage(f"{package!r}: graph is empty")
-            at = max(u.time for u in g.units)
-        snapshot = g.timed_snapshot(at)
-    else:
-        snapshot = g
-        at = snapshot.at if at is None else at
-    releases = snapshot.units_of_name(package)
+    live = isinstance(g, UniverseGraph)
+    if at is None:
+        if live and not g.unit_count():
+            raise UnknownPackage(f"{package!r}: graph is empty")
+        at = max(u.time for u in g.units) if live else g.at
+
+    def visible(uid: int) -> bool:
+        return not live or g.unit(uid).time <= at
+
+    releases = [uid for uid in g.units_of_name(package) if visible(uid)]
     if not releases:
         raise UnknownPackage(f"{package!r} has no releases at t={at}")
-    times = [snapshot.unit(uid).time for uid in releases]
+    times = [g.unit(uid).time for uid in releases]
     last = max(times)
     in_window = sum(1 for t in times if at - window < t <= at)
     dependents = {
-        snapshot.unit(user).name
-        for uid in releases
-        for user in snapshot.used_by(uid)
-        if snapshot.unit(user).name != package
-    }
+        g.unit(user).name for uid in releases for user in g.used_by(uid) if visible(user)
+    } - {package}
     return ActivityReport(
         package=package,
         at=at,

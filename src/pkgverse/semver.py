@@ -12,6 +12,18 @@ node-semver subset commonly found in package manifests:
 * hyphen ranges ``1.2.3 - 2.0.0``
 * space-separated AND within a clause, ``||`` for disjunction
 
+Every operator is written with the same bounds of its version body: ``low``
+fills missing parts with 0 (``1.2`` -> ``1.2.0``) and ``span`` is the
+exclusive end of what the body names (``1`` -> ``2.0.0``, ``1.2`` ->
+``1.3.0``). A partial ``1.2`` or ``=1.2`` and ``~1.2`` or ``~1.2.3`` are
+``>=low <span``; ``>1.2`` is ``>=span``, ``<=1.2`` is ``<span``, ``>=1.2``
+and ``<1.2`` bound at ``low``; ``^`` ends at the first non-zero bump; a
+hyphen range runs from the left ``low`` to the right ``span``, or to the
+right version inclusive when it is complete. A wildcard major (``*``,
+``x``, ``X``, ``x.x``, ``*.*``, ``X.x.x``, also with ``+build``) admits
+every version after any operator, and leaves a hyphen range without an
+upper bound.
+
 A version that carries a prerelease tag only matches a range when one of
 the comparators in the satisfied clause names the same major.minor.patch
 triple and itself carries a prerelease tag — so ``^1.2.3-rc.1`` admits
@@ -20,6 +32,7 @@ triple and itself carries a prerelease tag — so ``^1.2.3-rc.1`` admits
 
 from __future__ import annotations
 
+import operator
 import re
 import warnings
 from dataclasses import dataclass
@@ -106,21 +119,16 @@ def parse_version(text: str) -> Version:
     return Version(int(m.group("major")), int(m.group("minor")), int(m.group("patch")), pre, build)
 
 
+_COMPARE = {"=": operator.eq, ">": operator.gt, ">=": operator.ge, "<": operator.lt, "<=": operator.le}
+
+
 @dataclass(frozen=True)
 class _Comparator:
     op: str  # one of < <= > >= =
     version: Version
 
     def satisfied_by(self, v: Version) -> bool:
-        if self.op == "=":
-            return v == self.version
-        if self.op == ">":
-            return v > self.version
-        if self.op == ">=":
-            return v >= self.version
-        if self.op == "<":
-            return v < self.version
-        return v <= self.version
+        return _COMPARE[self.op](v, self.version)
 
     def __str__(self) -> str:
         return f"{self.op}{self.version}" if self.op != "=" else str(self.version)
@@ -132,111 +140,62 @@ _PARTIAL_RE = re.compile(
     r"(?:-(?P<prerelease>[0-9A-Za-z.-]+))?(?:\+(?P<build>[0-9A-Za-z.-]+))?$"
 )
 
+# the operator a range token starts with; "" for a bare version
+_OPERATOR_RE = re.compile(r"[<>]=?|[=^~]|")
+_ANY = _Comparator(">=", Version(0, 0, 0))
 
-def _wild(part: str | None) -> bool:
-    return part is None or part in ("x", "X", "*")
 
+def _bounds(body: str) -> tuple[Version, Version | None, bool]:
+    """Bounds of a possibly-partial version as ``(low, span, partial)``.
 
-def _parse_partial(text: str):
-    """Split a possibly-partial version into (major, minor, patch, pre, build)
-    where wildcard positions are None."""
-    m = _PARTIAL_RE.match(text)
+    ``low`` fills the missing parts with 0 and keeps the tags; ``span`` is
+    the exclusive upper bound of what the body names (the next major when
+    the minor is missing, else the next minor), or None for a wildcard
+    major; ``partial`` says the patch is missing.
+    """
+    m = _PARTIAL_RE.match(body)
     if not m:
-        raise VersionParseError(f"not a version or wildcard pattern: {text!r}")
-    major = None if _wild(m.group("major")) else int(m.group("major"))
-    minor = None if _wild(m.group("minor")) else int(m.group("minor"))
-    patch = None if _wild(m.group("patch")) else int(m.group("patch"))
+        raise VersionParseError(f"not a version or wildcard pattern: {body!r}")
+    major, minor, patch = [
+        None if part in (None, "x", "X", "*") else int(part)
+        for part in m.group("major", "minor", "patch")
+    ]
     if major is None and (minor is not None or patch is not None):
-        raise VersionParseError(f"wildcard major with concrete tail: {text!r}")
+        raise VersionParseError(f"wildcard major with concrete tail: {body!r}")
     if minor is None and patch is not None:
-        raise VersionParseError(f"wildcard minor with concrete patch: {text!r}")
+        raise VersionParseError(f"wildcard minor with concrete patch: {body!r}")
     pre = tuple(m.group("prerelease").split(".")) if m.group("prerelease") else ()
-    if pre and (major is None or minor is None or patch is None):
-        raise VersionParseError(f"prerelease tag on a partial version: {text!r}")
+    if pre and patch is None:
+        raise VersionParseError(f"prerelease tag on a partial version: {body!r}")
     build = tuple(m.group("build").split(".")) if m.group("build") else ()
-    return major, minor, patch, pre, build
-
-
-def _lower(major, minor, patch, pre, build) -> Version:
-    return Version(major or 0, minor or 0, patch or 0, pre, build)
+    low = Version(major or 0, minor or 0, patch or 0, pre, build)
+    if major is None:
+        return low, None, True
+    span = Version(major + 1, 0, 0) if minor is None else Version(major, minor + 1, 0)
+    return low, span, patch is None
 
 
 def _desugar(token: str) -> list[_Comparator]:
     """Expand one range token into primitive comparators."""
-    if token in ("*", "x", "X", ""):
-        return [_Comparator(">=", Version(0, 0, 0))]
-
-    op = ""
-    body = token
-    for candidate in (">=", "<=", ">", "<", "=", "^", "~"):
-        if token.startswith(candidate):
-            op, body = candidate, token[len(candidate):]
-            break
-    body = body.strip()
-    major, minor, patch, pre, build = _parse_partial(body)
-
-    if op in (">=", "<=", ">", "<", "="):
-        if major is None:
-            return [_Comparator(">=", Version(0, 0, 0))]
-        low = _lower(major, minor, patch, pre, build)
-        if minor is not None and patch is not None:
-            return [_Comparator(op or "=", low)]
-        # partial version after a comparator: treat like npm x-ranges
-        span = (
-            Version(major + 1, 0, 0) if minor is None else Version(major, minor + 1, 0)
-        )
-        if op == "=" or op == "":
-            return [_Comparator(">=", low), _Comparator("<", span)]
-        if op == ">":
-            return [_Comparator(">=", span)]
-        if op == ">=":
-            return [_Comparator(">=", low)]
-        if op == "<":
-            return [_Comparator("<", low)]
-        return [_Comparator("<", span)]  # <=1.2 means <1.3.0
-
-    if op == "^":
-        if major is None:
-            return [_Comparator(">=", Version(0, 0, 0))]
-        low = _lower(major, minor, patch, pre, build)
-        if major > 0:
-            high = Version(major + 1, 0, 0)
-        elif minor is None:
-            high = Version(1, 0, 0)
-        elif minor > 0 or patch is None:
-            high = Version(0, minor + 1, 0)
-        else:
-            high = Version(0, minor, patch + 1)
-        return [_Comparator(">=", low), _Comparator("<", high)]
-
-    if op == "~":
-        if major is None:
-            return [_Comparator(">=", Version(0, 0, 0))]
-        low = _lower(major, minor, patch, pre, build)
-        high = Version(major + 1, 0, 0) if minor is None else Version(major, minor + 1, 0)
-        return [_Comparator(">=", low), _Comparator("<", high)]
-
-    # bare version, possibly partial
-    if minor is None or patch is None:
-        low = _lower(major, minor, patch, pre, build)
-        span = Version(major + 1, 0, 0) if minor is None else Version(major, minor + 1, 0)
+    op = _OPERATOR_RE.match(token).group()
+    low, span, partial = _bounds(token[len(op):])
+    if span is None:
+        return [_ANY]
+    if op == "^":  # below the first non-zero bump
+        if low.major:
+            span = Version(low.major + 1, 0, 0)
+        elif not (partial or low.minor):
+            span = Version(0, 0, low.patch + 1)
         return [_Comparator(">=", low), _Comparator("<", span)]
-    return [_Comparator("=", Version(major, minor, patch, pre, build))]
-
-
-def _desugar_hyphen(left: str, right: str) -> list[_Comparator]:
-    lo_major, lo_minor, lo_patch, lo_pre, lo_build = _parse_partial(left)
-    comps = [_Comparator(">=", _lower(lo_major, lo_minor, lo_patch, lo_pre, lo_build))]
-    hi_major, hi_minor, hi_patch, hi_pre, hi_build = _parse_partial(right)
-    if hi_major is None:
-        return comps
-    if hi_minor is None:
-        comps.append(_Comparator("<", Version(hi_major + 1, 0, 0)))
-    elif hi_patch is None:
-        comps.append(_Comparator("<", Version(hi_major, hi_minor + 1, 0)))
-    else:
-        comps.append(_Comparator("<=", Version(hi_major, hi_minor, hi_patch, hi_pre, hi_build)))
-    return comps
+    if op == "~" or partial and op in ("", "="):
+        return [_Comparator(">=", low), _Comparator("<", span)]
+    if not partial:
+        return [_Comparator(op or "=", low)]
+    if op == ">":
+        return [_Comparator(">=", span)]
+    if op == "<=":  # <=1.2 means <1.3.0
+        return [_Comparator("<", span)]
+    return [_Comparator(op, low)]  # >=1.2 and <1.2 bound at 1.2.0
 
 
 _HYPHEN_RE = re.compile(r"\s+-\s+")
@@ -272,28 +231,24 @@ class VersionRange:
     def parse(cls, text: str) -> "VersionRange":
         if not isinstance(text, str):
             raise VersionParseError(f"range must be a string, got {type(text).__name__}")
-        raw = text
         clauses = []
         for clause_text in text.split("||"):
             clause_text = clause_text.strip()
-            comps: list[_Comparator] = []
             parts = _HYPHEN_RE.split(clause_text)
-            if len(parts) == 2:
-                comps.extend(_desugar_hyphen(parts[0].strip(), parts[1].strip()))
-            elif len(parts) > 2:
+            if len(parts) > 2:
                 raise VersionParseError(f"malformed hyphen range: {clause_text!r}")
+            if len(parts) == 2:
+                low = _bounds(parts[0].strip())[0]
+                high, span, partial = _bounds(parts[1].strip())
+                comps = [_Comparator(">=", low)]
+                if span is not None:
+                    comps.append(_Comparator("<", span) if partial else _Comparator("<=", high))
             else:
                 # "> 1.2.3" and ">1.2.3" are the same comparator
-                clause_text = re.sub(r"([><=^~]+)\s+", r"\1", clause_text)
-                if not clause_text:
-                    comps.extend(_desugar("*"))
-                else:
-                    for token in clause_text.split():
-                        comps.extend(_desugar(token))
+                tokens = re.sub(r"([><=^~]+)\s+", r"\1", clause_text).split() or ["*"]
+                comps = [c for token in tokens for c in _desugar(token)]
             clauses.append(tuple(comps))
-        if not clauses:
-            clauses = [tuple(_desugar("*"))]
-        return cls(clauses=tuple(clauses), raw=raw)
+        return cls(clauses=tuple(clauses), raw=text)
 
     def matches(self, version: Version) -> bool:
         """Pure predicate: does ``version`` satisfy this range?"""

@@ -1,6 +1,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +13,8 @@ from pkgverse.eventlog import EventLog, update_event, use_event
 from pkgverse.fixtures import client_library_fixture, sample_universe_events
 
 from oracles import check_dot_document
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture
@@ -102,6 +108,22 @@ class TestIngest:
         lines = log.read_text().splitlines()
         assert json.loads(lines[0])["time"] == 42
         assert json.loads(lines[1])["to"] == ["lib", "^1.0.0"]
+
+    def test_wildcard_major_manifest_range_exits_0(self, tmp_path):
+        manifest = tmp_path / "package.json"
+        manifest.write_text('{"name":"app","version":"1.0.0","dependencies":{"lib":"x.x"}}')
+        log = tmp_path / "log.ndjson"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])
+        ))
+        proc = subprocess.run(
+            [sys.executable, "-m", "pkgverse", "ingest", str(manifest), "--kind", "manifest",
+             "--log", str(log)],
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert json.loads(log.read_text().splitlines()[1])["to"] == ["lib", "x.x"]
 
     def test_contribution_ingest(self, tmp_path, contributions_file):
         log = tmp_path / "log.ndjson"

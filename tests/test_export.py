@@ -10,8 +10,10 @@ from pkgverse.export import (
     write_congruence_csv,
 )
 from pkgverse.fixtures import sample_universe
+from pkgverse.graph import UniverseGraph
 from pkgverse.sampling import snapshot_series
 
+from conftest import random_universe
 from oracles import check_dot_document
 
 
@@ -62,6 +64,81 @@ class TestGraphml:
             assert edge.get("target") in node_ids
         for data in graph.iter(f"{ns}data"):
             assert data.get("key") in declared_keys
+
+
+NS = "{http://graphml.graphdrawing.org/xmlns}"
+
+
+def graphml_via_elementtree(snapshot) -> str:
+    """Reference GraphML built as an element tree and indented by ``ET.indent``."""
+    root = ET.Element("graphml", xmlns=NS[1:-1])
+    for key_id, domain, name, dtype in (
+        ("d_name", "node", "name", "string"),
+        ("d_release", "node", "release", "string"),
+        ("d_time", "node", "time", "long"),
+        ("d_kind", "edge", "kind", "string"),
+    ):
+        ET.SubElement(root, "key", {"for": domain, "attr.name": name, "attr.type": dtype, "id": key_id})
+    graph = ET.SubElement(root, "graph", id="universe", edgedefault="directed")
+    for u in sorted(snapshot.units, key=lambda u: u.uid):
+        node = ET.SubElement(graph, "node", id=f"n{u.uid}")
+        for key_id, value in (("d_name", u.name), ("d_release", u.release), ("d_time", str(u.time))):
+            ET.SubElement(node, "data", key=key_id).text = value
+    edges = [(e, "use") for e in sorted(snapshot.use_edges, key=lambda e: (e.src, e.dst))]
+    edges += [(e, "update") for e in sorted(snapshot.update_edges, key=lambda e: (e.src, e.dst))]
+    for i, (e, kind) in enumerate(edges):
+        edge = ET.SubElement(graph, "edge", id=f"e{i}", source=f"n{e.src}", target=f"n{e.dst}")
+        ET.SubElement(edge, "data", key="d_kind").text = kind
+    ET.indent(root)
+    return ET.tostring(root, encoding="unicode", xml_declaration=True) + "\n"
+
+
+def markup_universe():
+    g = UniverseGraph()
+    a = g.add_unit("a&b<c>", "1.0.0-\"q\"", 1)
+    b = g.add_unit("<lib's>", "2 & 3 > 1", 2)
+    c = g.add_unit("<lib's>", "'4'", 3)
+    g.add_use_edge(a, b)
+    g.add_use_edge(c, a)
+    g.add_update_edge(b, c)
+    return g
+
+
+class TestGraphmlText:
+    def test_markup_characters_parse_back(self):
+        snap = markup_universe().timed_snapshot(3)
+        root = ET.fromstring(snapshot_to_graphml(snap))
+        nodes = {
+            n.get("id"): {d.get("key"): d.text for d in n.findall(f"{NS}data")}
+            for n in root.iter(f"{NS}node")
+        }
+        assert nodes == {
+            f"n{u.uid}": {"d_name": u.name, "d_release": u.release, "d_time": str(u.time)}
+            for u in snap.units
+        }
+        edges = [
+            (e.get("source"), e.get("target"), e.find(f"{NS}data").text)
+            for e in root.iter(f"{NS}edge")
+        ]
+        assert edges == [("n0", "n1", "use"), ("n2", "n0", "use"), ("n1", "n2", "update")]
+
+    def test_empty_snapshot(self):
+        text = snapshot_to_graphml(markup_universe().timed_snapshot(0))
+        root = ET.fromstring(text)
+        graph = root.find(f"{NS}graph")
+        assert graph.attrib == {"id": "universe", "edgedefault": "directed"}
+        assert len(graph) == 0
+        assert len(root.findall(f"{NS}key")) == 4
+        assert text.endswith('  <graph id="universe" edgedefault="directed" />\n</graphml>\n')
+
+    def test_bytes_match_elementtree(self, rng):
+        g = markup_universe()
+        snapshots = [g.timed_snapshot(t) for t in (0, 1, 2, 3)]
+        for _ in range(5):
+            h = random_universe(rng, rng.randint(1, 40))
+            snapshots += [h.timed_snapshot(t) for t in (-1, 5, 20, 50)]
+        for snap in snapshots:
+            assert snapshot_to_graphml(snap) == graphml_via_elementtree(snap)
 
 
 class TestJson:

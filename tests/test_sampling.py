@@ -15,7 +15,7 @@ from pkgverse.sampling import (
 )
 
 from conftest import random_universe
-from oracles import breakage_oracle
+from oracles import breakage_oracle, brute_snapshot
 
 
 def full_snapshot(g):
@@ -296,3 +296,21 @@ class TestActivityReport:
         g, _ = sample_universe()
         report = activity_report(g, "x", window=2, at=20, dormant_threshold=99)
         assert not report.dormant_but_depended_upon
+
+    def test_live_graph_matches_brute_snapshot(self, rng):
+        def outcome(g, name, window, at, threshold):
+            try:
+                return activity_report(g, name, window, at=at, dormant_threshold=threshold)
+            except UnknownPackage:
+                return "UnknownPackage"
+
+        for _ in range(40):
+            g = random_universe(rng, rng.randint(1, 40), p_edge=rng.choice((0.02, 0.1, 0.3)))
+            latest = max(u.time for u in g.units)
+            names = sorted(g.names()) + ["ghost"]
+            for at in [rng.randint(-2, latest + 3) for _ in range(4)] + [None]:
+                snap = brute_snapshot(g, latest if at is None else at)
+                for name in names:
+                    window, threshold = rng.randint(1, 12), rng.randint(0, 3)
+                    expected = outcome(snap, name, window, snap.at, threshold)
+                    assert outcome(g, name, window, at, threshold) == expected

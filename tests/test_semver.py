@@ -201,3 +201,8 @@ class TestResolution:
                         assert resolved in available
                         assert not any(v > resolved and rng.matches(v) for v in available)
         assert cases >= 500
+
+
+@pytest.mark.parametrize("text", ["x.x", "*.*", "X.x.x", "x+b.2", "*+1"])
+def test_wildcard_major_forms_parse_to_any(text):
+    assert str(VersionRange.parse(text)) == ">=0.0.0"
