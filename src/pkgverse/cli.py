@@ -118,10 +118,18 @@ def _load_contribution_file(path) -> tuple[list[Contribution], list[Quarantined]
 
 
 def cmd_ingest(args) -> int:
-    log = EventLog(args.log)
-    counts: dict[str, int] = {}
+    counts: Counter[str] = Counter()
     quarantined: list[Quarantined] = []
-    with log:
+
+    def good(stream):
+        for item in stream:
+            if isinstance(item, Quarantined):
+                quarantined.append(item)
+            else:
+                counts[item.kind] += 1
+                yield item
+
+    with EventLog(args.log) as log:
         for path in args.inputs:
             path = Path(path)
             if args.kind == "manifest":
@@ -130,9 +138,7 @@ def cmd_ingest(args) -> int:
                     sections=("dependencies", "devDependencies") if args.include_dev else ("dependencies",),
                 )
                 time = args.time if args.time is not None else 0
-                for event in manifest_events(manifest, time):
-                    log.append(event)
-                    counts[event.kind] = counts.get(event.kind, 0) + 1
+                log.append_events(good(manifest_events(manifest, time)))
                 continue
             with path.open(encoding="utf-8", newline="") as fh:
                 if args.kind == "dump":
@@ -140,12 +146,7 @@ def cmd_ingest(args) -> int:
                     stream = parse_registry_dump(fh, mapping, source=str(path))
                 else:
                     stream = parse_contribution_events(fh, source=str(path))
-                for item in stream:
-                    if isinstance(item, Quarantined):
-                        quarantined.append(item)
-                    else:
-                        log.append(item)
-                        counts[item.kind] = counts.get(item.kind, 0) + 1
+                log.append_events(good(stream))
     summary = ", ".join(f"{n} {kind}" for kind, n in sorted(counts.items())) or "0 events"
     print(f"appended {summary}; {len(quarantined)} quarantined", file=sys.stderr)
     if quarantined:

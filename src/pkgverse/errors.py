@@ -58,6 +58,11 @@ class CorruptLog(PkgverseError):
     """A log line is not valid JSON (truncated or garbled file)."""
 
 
+class TornTail(CorruptLog):
+    """The final line of a log lacks its newline and is not a JSON object:
+    the torn tail of an interrupted append, or of one still in progress."""
+
+
 # --- parsing / ingestion ------------------------------------------------------
 
 class ParseError(PkgverseError):

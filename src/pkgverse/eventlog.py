@@ -5,8 +5,8 @@ rewritten, so the file mirrors the graph's monotonic growth. Replaying the
 same bytes always produces the same graph and the same quarantine report.
 Events that cannot be applied — unknown references, axiom violations,
 malformed payloads — are quarantined with a reason instead of aborting the
-replay; a line that is not valid JSON at all means the *file* is damaged
-and raises :class:`CorruptLog`.
+replay; a committed line that is not a JSON object means the *file* is
+damaged and raises :class:`CorruptLog`.
 
 Wire schema (schema version ``v: 1``), one event per line::
 
@@ -19,18 +19,28 @@ Wire schema (schema version ``v: 1``), one event per line::
 
 ``seq`` is assigned by the log on append, never by the caller, so a single
 log is gap-free. Temporal queries key on release time.
-One process writes a given log at a time; readers may stream concurrently
-and will observe a prefix.
+
+A record commits with its trailing newline. ``append`` writes and flushes
+one line; ``append_events`` writes its lines in chunks of whole lines and
+flushes once per chunk, so a batch reaches the file before the call
+returns but not line by line. One process writes a given log at a time;
+readers may stream concurrently and see whole records plus, at most, a
+torn final fragment of a write in progress or an interrupted one. Replay
+reports that fragment as a ``TornTail`` quarantine entry, and the next
+append truncates it before writing. A final line without its newline that
+is still a whole JSON object is committed: replay applies it, and the next
+append writes the missing newline first.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import CorruptLog, PkgverseError, SchemaError, UnknownUnit
+from .errors import CorruptLog, PkgverseError, SchemaError, TornTail, UnknownUnit
 from .graph import UniverseGraph
 
 __all__ = [
@@ -50,6 +60,12 @@ __all__ = [
 SCHEMA_VERSION = 1
 KINDS = ("unit", "use", "update", "contribution", "developer-alias")
 CONTRIBUTION_TYPES = ("pr", "issue", "discussion")
+
+# append_events writes and flushes its lines in chunks of about this many
+# characters; lines are ASCII, so characters are bytes
+_CHUNK_CHARS = 1 << 16
+# _scan_last_seq reads the file backwards in blocks of this many bytes
+_TAIL_BLOCK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -121,6 +137,55 @@ def validate_payload(kind: str, payload: dict) -> dict:
     return {"canonical": canonical, "alias": alias}
 
 
+# One line per kind, from a %-template over the canonical payload. Strings go
+# through the C escaper json.dumps uses with ensure_ascii=True, so each line
+# is byte for byte ``json.dumps(record, separators=(",", ":"))``.
+_esc = json.encoder.encode_basestring_ascii
+_HEAD = '{"v":%d,"seq":%%d,"kind":' % SCHEMA_VERSION
+_UNIT = _HEAD + '"unit","name":%s,"release":%s,"time":%d}\n'
+_EDGE = _HEAD + '"%s","from":[%s,%s],"to":[%s,%s]}\n'
+_CONTRIBUTION = _HEAD + '"contribution","id":%s,"dev":%s,"target":[%s],"ctype":%s,"time":%d,"merged":%s}\n'
+_ALIAS = _HEAD + '"developer-alias","canonical":%s,"alias":%s}\n'
+
+
+def _encode(seq: int, kind: str, p: dict) -> str:
+    """The log line of a validated canonical payload ``p``, newline included."""
+    if kind == "unit":
+        return _UNIT % (seq, _esc(p["name"]), _esc(p["release"]), p["time"])
+    if kind == "use" or kind == "update":
+        (a, b), (c, d) = p["from"], p["to"]
+        return _EDGE % (seq, kind, _esc(a), _esc(b), _esc(c), _esc(d))
+    if kind == "contribution":
+        return _CONTRIBUTION % (
+            seq, _esc(p["id"]), _esc(p["dev"]), _esc(p["target"][0]), _esc(p["ctype"]), p["time"],
+            "true" if p["merged"] else "false",
+        )
+    return _ALIAS % (seq, _esc(p["canonical"]), _esc(p["alias"]))
+
+
+def _decode(line: bytes) -> dict:
+    """The JSON object a log line holds; ValueError when it holds none."""
+    record = json.loads(line.decode("utf-8"))
+    if not isinstance(record, dict):
+        raise ValueError("not a JSON object")
+    return record
+
+
+def _lines_backwards(fh, end: int):
+    """The lines of a binary file last to first, without their newlines.
+    The first one is what follows the final newline (``b""`` when the file
+    ends with one)."""
+    rest = b""
+    while end > 0:
+        start = max(0, end - _TAIL_BLOCK)
+        fh.seek(start)
+        lines = (fh.read(end - start) + rest).split(b"\n")
+        rest = lines.pop(0)
+        yield from reversed(lines)
+        end = start
+    yield rest
+
+
 # --- convenience constructors ------------------------------------------------
 
 def unit_event(name: str, release: str, time: int) -> EcosystemEvent:
@@ -151,9 +216,10 @@ def alias_event(canonical: str, alias: str) -> EcosystemEvent:
 class EventLog:
     """A single NDJSON log file, opened lazily for appends.
 
-    The append handle stays open across calls and is flushed after each
-    event; earlier bytes are never rewritten. Use as a context manager or
-    call :meth:`close` when done writing.
+    The append handle stays open across calls; earlier bytes are never
+    rewritten. ``append`` flushes its line before returning,
+    ``append_events`` flushes once per chunk of whole lines. Use as a
+    context manager or call :meth:`close` when done writing.
     """
 
     def __init__(self, path):
@@ -162,50 +228,81 @@ class EventLog:
         self._next_seq: int | None = None
 
     def _scan_last_seq(self) -> int:
-        """Last committed ``seq``. A record commits with its trailing newline;
-        the torn tail of an interrupted append is truncated here, before the
-        first write, so no new record is glued onto it."""
-        last = committed = 0
+        """Last committed ``seq``, read backwards from the end of the file.
+
+        A record commits with its trailing newline. A final line without
+        one is committed too if it is a whole JSON object; it gets its
+        newline here. Any other unterminated fragment, the torn tail of an
+        interrupted append, is truncated here, before the first write, so
+        no new record is glued onto it. The result is the ``seq`` of the
+        last committed line that is a JSON object with an int ``seq``,
+        walking past damaged lines. Every log this class writes has
+        increasing seqs, so that is the largest one; a log concatenated by
+        hand continues from its last record.
+        """
         if not self.path.exists():
-            return last
+            return 0
         with self.path.open("rb") as fh:
-            for line in fh:
-                if not line.endswith(b"\n"):
-                    break
-                committed += len(line)
+            end = fh.seek(0, os.SEEK_END)
+            lines = _lines_backwards(fh, end)
+            tail = next(lines)
+            if tail:
                 try:
-                    seq = json.loads(line).get("seq")
-                except (json.JSONDecodeError, UnicodeDecodeError):
+                    _decode(tail)
+                except ValueError:
+                    os.truncate(self.path, end - len(tail))
+                else:
+                    with self.path.open("ab") as out:
+                        out.write(b"\n")
+                    lines = itertools.chain([tail], lines)
+            for line in lines:
+                try:
+                    seq = _decode(line).get("seq")
+                except ValueError:
                     continue  # damaged record; replay reports it
-                if isinstance(seq, int) and seq > last:
-                    last = seq
-            torn = fh.tell() > committed
-        if torn:
-            os.truncate(self.path, committed)
-        return last
+                if type(seq) is int:
+                    return seq
+        return 0
 
     def append(self, event: EcosystemEvent) -> int:
-        """Validate, assign the next ``seq`` and durably append one event."""
-        payload = validate_payload(event.kind, event.payload)
-        if self._next_seq is None:
-            self._next_seq = self._scan_last_seq() + 1
-        if self._fh is None:
-            self._fh = self.path.open("a", encoding="utf-8")
-        seq = self._next_seq
-        record: dict = {"v": SCHEMA_VERSION, "seq": seq, "kind": event.kind}
-        record.update(payload)
-        self._fh.write(json.dumps(record, separators=(",", ":")) + "\n")
-        self._fh.flush()
-        self._next_seq = seq + 1
-        return seq
+        """Validate, assign the next ``seq`` and append one event; its line
+        is flushed before this returns."""
+        self.append_events((event,))
+        return self._next_seq - 1
 
     def append_events(self, events) -> int:
-        """Append many events; returns how many were written."""
+        """Validate and append many events; returns how many were written.
+
+        Lines are written in chunks of whole lines, each flushed once. An
+        invalid event raises :class:`SchemaError` after the lines before it
+        are written.
+        """
         n = 0
-        for event in events:
-            self.append(event)
-            n += 1
+        chunk: list[str] = []
+        size = 0
+        try:
+            for event in events:
+                payload = validate_payload(event.kind, event.payload)
+                if self._next_seq is None:
+                    self._next_seq = self._scan_last_seq() + 1
+                line = _encode(self._next_seq + len(chunk), event.kind, payload)
+                chunk.append(line)
+                size += len(line)
+                n += 1
+                if size >= _CHUNK_CHARS:
+                    full, chunk, size = chunk, [], 0  # a failed write is not retried below
+                    self._write(full)
+        finally:
+            if chunk:
+                self._write(chunk)
         return n
+
+    def _write(self, lines: list[str]) -> None:
+        if self._fh is None:
+            self._fh = self.path.open("a", encoding="utf-8")
+        self._fh.write("".join(lines))
+        self._fh.flush()
+        self._next_seq += len(lines)
 
     def close(self) -> None:
         if self._fh is not None:
@@ -221,18 +318,16 @@ class EventLog:
 
     def read_raw(self):
         """Yield (line_no, record dict) for each line; raises CorruptLog on
-        lines that are not JSON objects."""
-        with self.path.open("r", encoding="utf-8") as fh:
+        a line that is not a JSON object, or its subclass TornTail when that
+        line is the final one and lacks its newline."""
+        with self.path.open("rb") as fh:
             for line_no, line in enumerate(fh, start=1):
-                text = line.strip()
-                if not text:
-                    raise CorruptLog(f"{self.path}:{line_no}: blank line")
                 try:
-                    record = json.loads(text)
-                except json.JSONDecodeError as exc:
-                    raise CorruptLog(f"{self.path}:{line_no}: {exc}") from None
-                if not isinstance(record, dict):
-                    raise CorruptLog(f"{self.path}:{line_no}: not a JSON object")
+                    record = _decode(line)
+                except ValueError as exc:
+                    error = CorruptLog if line.endswith(b"\n") else TornTail
+                    problem = exc if line.strip() else "blank line"
+                    raise error(f"{self.path}:{line_no}: {problem}") from None
                 yield line_no, record
 
 
@@ -300,13 +395,19 @@ def replay(
     Deterministic: the same bytes always yield a structurally identical
     graph and quarantine report. Pass ``into`` to apply a further log on
     top of an earlier replay (``replay(a) then apply b`` equals replaying
-    the concatenation of ``a`` and ``b``).
+    the concatenation of ``a`` and ``b``). A torn final fragment is
+    reported as a ``TornTail`` entry with an empty record; any other line
+    that is not a JSON object raises :class:`CorruptLog`.
     """
     if not isinstance(log, EventLog):
         log = EventLog(log)
     result = into if into is not None else ReplayResult(graph=UniverseGraph(strict=strict))
-    for line_no, record in log.read_raw():
-        _apply_record(result, line_no, record)
+    line_no = 0
+    try:
+        for line_no, record in log.read_raw():
+            _apply_record(result, line_no, record)
+    except TornTail as exc:
+        result.quarantine.append(QuarantinedEvent(line_no + 1, None, "TornTail", str(exc), {}))
     return result
 
 

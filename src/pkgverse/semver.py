@@ -48,11 +48,16 @@ __all__ = [
     "resolve_version_range",
 ]
 
-_VERSION_RE = re.compile(
-    r"^(?P<major>0|[1-9]\d*)\.(?P<minor>0|[1-9]\d*)\.(?P<patch>0|[1-9]\d*)"
-    r"(?:-(?P<prerelease>(?:0|[1-9]\d*|\d*[a-zA-Z-][0-9a-zA-Z-]*)"
-    r"(?:\.(?:0|[1-9]\d*|\d*[a-zA-Z-][0-9a-zA-Z-]*))*))?"
+# numeric parts without leading zeros; ASCII digits only, so ranges and
+# versions accept exactly the same tags
+_NUMBER = r"0|[1-9]\d*"
+_PRE_IDENT = rf"(?:{_NUMBER}|\d*[a-zA-Z-][0-9a-zA-Z-]*)"
+_TAGS = (
+    rf"(?:-(?P<prerelease>{_PRE_IDENT}(?:\.{_PRE_IDENT})*))?"
     r"(?:\+(?P<build>[0-9a-zA-Z-]+(?:\.[0-9a-zA-Z-]+)*))?$"
+)
+_VERSION_RE = re.compile(
+    rf"^(?P<major>{_NUMBER})\.(?P<minor>{_NUMBER})\.(?P<patch>{_NUMBER})" + _TAGS, re.ASCII
 )
 
 
@@ -136,8 +141,9 @@ class _Comparator:
 
 # a partial version: 1 / 1.2 / 1.2.x / 1.x / * , optionally with prerelease
 _PARTIAL_RE = re.compile(
-    r"^(?P<major>\d+|[xX*])(?:\.(?P<minor>\d+|[xX*]))?(?:\.(?P<patch>\d+|[xX*]))?"
-    r"(?:-(?P<prerelease>[0-9A-Za-z.-]+))?(?:\+(?P<build>[0-9A-Za-z.-]+))?$"
+    rf"^(?P<major>{_NUMBER}|[xX*])(?:\.(?P<minor>{_NUMBER}|[xX*]))?(?:\.(?P<patch>{_NUMBER}|[xX*]))?"
+    + _TAGS,
+    re.ASCII,
 )
 
 # the operator a range token starts with; "" for a bare version

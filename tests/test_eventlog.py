@@ -1,10 +1,15 @@
 import json
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from pkgverse import eventlog
 from pkgverse.errors import CorruptLog, SchemaError
 from pkgverse.eventlog import (
+    CONTRIBUTION_TYPES,
     EventLog,
     alias_event,
     contribution_event,
@@ -303,3 +308,123 @@ class TestReplayUntil:
             assert edge_keys(partial_names, partial.update_edges) == edge_keys(
                 snap_names, snap.update_edges
             )
+
+
+class TestTail:
+    def test_unterminated_whole_record_is_committed(self, tmp_path):
+        path = tmp_path / "log.ndjson"
+        first = '{"v":1,"seq":1,"kind":"unit","name":"a","release":"1","time":1}'
+        path.write_text(first)
+        assert [u.release for u in replay(path).graph.units] == ["1"]
+        with EventLog(path) as log:
+            assert log.append(unit_event("a", "2", 2)) == 2
+        lines = path.read_text().split("\n")
+        assert lines[0] == first and json.loads(lines[1])["seq"] == 2 and lines[2] == ""
+        result = replay(path)
+        assert result.quarantine == []
+        assert [u.release for u in result.graph.units] == ["1", "2"]
+
+    def test_torn_fragment_is_reported_on_replay(self, tmp_path):
+        path = tmp_path / "log.ndjson"
+        write_log(path, [unit_event("a", "1", 10), unit_event("a", "2", 20)])
+        with path.open("a", encoding="utf-8") as fh:
+            fh.write('{"v":1,"seq":3,"kind":"un')
+        result = replay(path)
+        assert [(q.line_no, q.seq, q.reason) for q in result.quarantine] == [(3, None, "TornTail")]
+        assert [u.release for u in result.graph.units] == ["1", "2"]
+        with EventLog(path) as log:
+            assert log.append(unit_event("a", "3", 30)) == 3
+        result = replay(path)
+        assert result.quarantine == []
+        assert [u.release for u in result.graph.units] == ["1", "2", "3"]
+
+    def test_invalid_utf8_line_is_corrupt_log(self, tmp_path):
+        path = tmp_path / "log.ndjson"
+        path.write_bytes(b'{"v":1,"seq":1,"kind":"unit","name":"\xff","release":"1","time":1}\n')
+        with pytest.raises(CorruptLog):
+            replay(path)
+
+    def test_tail_scan_equals_full_scan_maximum(self, tmp_path, monkeypatch):
+        def full_scan(data: bytes) -> int:
+            last = 0
+            for line in data.split(b"\n"):
+                try:
+                    record = json.loads(line.decode("utf-8"))
+                except ValueError:
+                    continue
+                seq = record.get("seq") if isinstance(record, dict) else None
+                if type(seq) is int:
+                    last = max(last, seq)
+            return last
+
+        damage = [b"{oops", b"[1, 2]", b"", b'{"seq": "7"}', b'{"seq": true}', b"\xff\xfe", b'{"v":1}']
+        rng = random.Random(5)
+        block = eventlog._TAIL_BLOCK
+        longest = 0
+        for round_no in range(60):
+            # small blocks put block boundaries inside the lines the scan reads
+            monkeypatch.setattr(eventlog, "_TAIL_BLOCK", rng.choice([1, 5, 64, block]))
+            path = tmp_path / f"log{round_no}.ndjson"
+            write_log(path, random_events(rng, rng.randint(0, 400)))
+            lines = path.read_bytes().split(b"\n")[:-1]
+            cut = rng.randint(0, len(lines))  # damage reaches back from the end
+            for i in range(cut, len(lines)):
+                if rng.random() < 0.7:
+                    lines[i] = rng.choice(damage)
+            if lines and rng.random() < 0.3:
+                lines[rng.randrange(len(lines))] = rng.choice(damage)  # and somewhere before
+            data = b"".join(line + b"\n" for line in lines)
+            torn = rng.choice([b"", b'{"v":1,"seq":99', b"[", b"\xff"])
+            path.write_bytes(data + torn)
+            longest = max(longest, len(data))
+            log = EventLog(path)
+            assert log._scan_last_seq() == full_scan(data)
+            assert path.read_bytes() == data  # the torn fragment is gone
+        assert longest > 2 * block
+
+
+_text = st.text(
+    st.one_of(
+        st.characters(exclude_categories=()),  # surrogates included
+        st.sampled_from('"\\\x00\x1f\x7f\n 𐏿é😀'),
+    ),
+    min_size=1,
+    max_size=12,
+)
+_int = st.integers(min_value=-(2**80), max_value=2**80)
+_ref = st.tuples(_text, _text)
+_events = st.one_of(
+    st.builds(unit_event, _text, _text, _int),
+    st.builds(use_event, _ref, _ref),
+    st.builds(update_event, _ref, _ref),
+    st.builds(contribution_event, _text, _text, _text, st.sampled_from(CONTRIBUTION_TYPES), _int, st.booleans()),
+    st.builds(alias_event, _text, _text),
+)
+
+
+class TestEncoding:
+    @settings(deadline=None, max_examples=200)
+    @given(events=st.lists(_events, min_size=1, max_size=8))
+    def test_lines_equal_json_dumps(self, events):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "log.ndjson"
+            with EventLog(path) as log:
+                assert log.append_events(events) == len(events)
+            expected = "".join(
+                json.dumps(
+                    {"v": 1, "seq": n, "kind": e.kind, **validate_payload(e.kind, e.payload)},
+                    separators=(",", ":"),
+                )
+                + "\n"
+                for n, e in enumerate(events, start=1)
+            )
+            assert path.read_bytes() == expected.encode("utf-8")
+
+    def test_lines_before_an_invalid_event_are_written(self, tmp_path):
+        path = tmp_path / "log.ndjson"
+        with EventLog(path) as log:
+            with pytest.raises(SchemaError):
+                log.append_events([unit_event("a", "1", 1), unit_event("a", "2", 2), unit_event("a", "", 3)])
+            assert len(path.read_text().splitlines()) == 2
+            assert log.append(unit_event("a", "3", 3)) == 3
+        assert [json.loads(line)["seq"] for line in path.read_text().splitlines()] == [1, 2, 3]

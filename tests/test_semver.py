@@ -206,3 +206,17 @@ class TestResolution:
 @pytest.mark.parametrize("text", ["x.x", "*.*", "X.x.x", "x+b.2", "*+1"])
 def test_wildcard_major_forms_parse_to_any(text):
     assert str(VersionRange.parse(text)) == ">=0.0.0"
+
+
+@pytest.mark.parametrize("bad", ["1١.0.0", "1.1١.0", "1.0.2٣"])
+def test_version_digits_are_ascii(bad):
+    with pytest.raises(VersionParseError):
+        parse_version(bad)
+
+
+@pytest.mark.parametrize(
+    "bad", ["^01.02.03", "^١.٢.٣", "01", "1.02", ">=1.2.03", "~1.2.3-01", "1.2.3-rc..1", "1.2.3+b..1", "01 - 2"]
+)
+def test_range_parts_follow_the_version_grammar(bad):
+    with pytest.raises(VersionParseError):
+        VersionRange.parse(bad)
