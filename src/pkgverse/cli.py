@@ -40,7 +40,7 @@ from .contrib import (
     merge_identities,
     window_partition,
 )
-from .errors import InvalidTimestamp, PkgverseError, UnknownRoot
+from .errors import CsvError, InvalidTimestamp, PkgverseError, UnknownRoot
 from .eventlog import EventLog, replay
 from .ingest import (
     ColumnMap,
@@ -100,6 +100,15 @@ def _replay_log(args):
             file=sys.stderr,
         )
     return result
+
+
+def _at_or_latest(at, graph) -> int:
+    """The ``--at`` time, or the newest release time when it is absent."""
+    return parse_timestamp(at) if at is not None else max((u.time for u in graph.units), default=0)
+
+
+def _exit_code(*quarantines) -> int:
+    return EXIT_QUARANTINED if any(quarantines) else EXIT_OK
 
 
 def _load_contribution_file(path) -> tuple[list[Contribution], list[Quarantined]]:
@@ -162,8 +171,7 @@ def cmd_ingest(args) -> int:
                     + "\n"
                 )
         print(f"quarantine report: {report}", file=sys.stderr)
-        return EXIT_QUARANTINED
-    return EXIT_OK
+    return _exit_code(quarantined)
 
 
 def cmd_snapshot(args) -> int:
@@ -175,7 +183,7 @@ def cmd_snapshot(args) -> int:
         series = snapshot_series(result.graph, at, until, step)
         paths = export.export_snapshot_series(series, args.out_dir or "snapshots")
         print(f"wrote {len(paths)} snapshot files", file=sys.stderr)
-        return EXIT_QUARANTINED if result.quarantine else EXIT_OK
+        return _exit_code(result.quarantine)
     snap = result.graph.timed_snapshot(at)
     renderers = {
         "json": export.snapshot_to_json,
@@ -188,7 +196,7 @@ def cmd_snapshot(args) -> int:
         f"{len(snap.use_edges)} use-edges, {len(snap.update_edges)} update-edges",
         file=sys.stderr,
     )
-    return EXIT_QUARANTINED if result.quarantine else EXIT_OK
+    return _exit_code(result.quarantine)
 
 
 def cmd_resolve(args) -> int:
@@ -196,10 +204,7 @@ def cmd_resolve(args) -> int:
     name, _, release = args.root.partition("@")
     if not release:
         raise UnknownRoot(f"--root must look like name@version, got {args.root!r}")
-    at = parse_timestamp(args.at) if args.at is not None else max(
-        (u.time for u in result.graph.units), default=0
-    )
-    snap = result.graph.timed_snapshot(at)
+    snap = result.graph.timed_snapshot(_at_or_latest(args.at, result.graph))
     tree = build_tree_at(snap, name, release)
     conflicts = detect_conflicts(tree)
     if args.style == "flat":
@@ -216,7 +221,7 @@ def cmd_resolve(args) -> int:
         }
         _emit_json(args, doc)
     print(f"{len(conflicts)} version conflicts", file=sys.stderr)
-    return EXIT_QUARANTINED if result.quarantine else EXIT_OK
+    return _exit_code(result.quarantine)
 
 
 def cmd_congruence(args) -> int:
@@ -274,29 +279,29 @@ def cmd_congruence(args) -> int:
         f"{len(excluded)} developers excluded as bots",
         file=sys.stderr,
     )
-    if quarantined or result.quarantine:
-        return EXIT_QUARANTINED
-    return EXIT_OK
+    return _exit_code(quarantined, result.quarantine)
 
 
 def cmd_sample(args) -> int:
+    try:
+        spec = SampleSpec(metric=args.metric, k=args.k)
+    except ValueError as exc:
+        raise PkgverseError(str(exc)) from None
     result = _replay_log(args)
-    at = parse_timestamp(args.at) if args.at is not None else max(
-        (u.time for u in result.graph.units), default=0
-    )
-    snap = result.graph.timed_snapshot(at)
+    snap = result.graph.timed_snapshot(_at_or_latest(args.at, result.graph))
 
     contributions = None
     if args.contributions:
         contributions, _ = _load_contribution_file(args.contributions)
     popularity = None
     if args.popularity_csv:
-        popularity = {}
         with open(args.popularity_csv, newline="", encoding="utf-8") as fh:
-            for row in csv.DictReader(fh):
-                popularity[row["package"]] = float(row["score"])
-
-    spec = SampleSpec(metric=args.metric, k=args.k)
+            rows = csv.DictReader(fh)
+            try:
+                popularity = {row["package"]: float(row["score"]) for row in rows}
+            except (KeyError, TypeError, ValueError):  # TypeError: a row too short to hold a score
+                where = f"{args.popularity_csv}:{rows.line_num}"
+                raise CsvError(f"{where}: expected a package and a numeric score") from None
     selected = sample_top_k(snap, spec, contributions=contributions, popularity=popularity)
     breakage = chain_breakage(snap, set(selected)) if args.measure_breakage else None
     if args.format == "csv":
@@ -310,7 +315,7 @@ def cmd_sample(args) -> int:
             doc["breakage"] = asdict(breakage)
         _emit_json(args, doc)
     print(f"selected {len(selected)} packages", file=sys.stderr)
-    return EXIT_QUARANTINED if result.quarantine else EXIT_OK
+    return _exit_code(result.quarantine)
 
 
 def cmd_activity(args) -> int:
@@ -328,7 +333,7 @@ def cmd_activity(args) -> int:
         _emit_csv(args, [sorted(doc), [doc[k] for k in sorted(doc)]])
     else:
         _emit_json(args, doc)
-    return EXIT_QUARANTINED if result.quarantine else EXIT_OK
+    return _exit_code(result.quarantine)
 
 
 def cmd_registries(args) -> int:

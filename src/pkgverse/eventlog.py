@@ -8,7 +8,8 @@ malformed payloads — are quarantined with a reason instead of aborting the
 replay; a committed line that is not a JSON object means the *file* is
 damaged and raises :class:`CorruptLog`.
 
-Wire schema (schema version ``v: 1``), one event per line::
+The wire schema (``v: 1``) is declared once, in the :data:`SCHEMA` table,
+and everything that reads or writes events derives from it; one event per line::
 
     {"v":1,"seq":1,"kind":"unit","name":"a","release":"1.0.0","time":100}
     {"v":1,"seq":2,"kind":"use","from":["a","1.0.0"],"to":["b","2.0.0"]}
@@ -39,6 +40,7 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 from .errors import CorruptLog, PkgverseError, SchemaError, TornTail, UnknownUnit
 from .graph import UniverseGraph
@@ -58,7 +60,6 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
-KINDS = ("unit", "use", "update", "contribution", "developer-alias")
 CONTRIBUTION_TYPES = ("pr", "issue", "discussion")
 
 # append_events writes and flushes its lines in chunks of about this many
@@ -76,91 +77,95 @@ class EcosystemEvent:
     payload: dict
 
 
-def _require(payload: dict, key: str, types) -> object:
+@dataclass(frozen=True, slots=True)
+class _Shape:
+    """What one field's value must be on the wire."""
+
+    what: str  # completes "field 'x' must be ..." in a SchemaError
+    check: Callable[[object], object]  # the canonical value, or None when the value does not fit
+    encode: Callable[[object], str]  # the JSON text of a canonical value
+
+
+# Strings go through the C escaper json.dumps uses with ensure_ascii=True, so
+# each line is byte for byte ``json.dumps(record, separators=(",", ":"))``.
+_esc = json.encoder.encode_basestring_ascii
+
+
+def _texts(n: int):
+    """A check for a list or tuple of ``n`` non-empty strings."""
+    def check(v):
+        if not isinstance(v, (list, tuple)) or len(v) != n:
+            return None
+        return list(v) if all(map(isinstance, v, itertools.repeat(str))) and all(v) else None
+    return check
+
+
+_TEXT = _Shape("a non-empty string", lambda v: v if isinstance(v, str) and v else None, _esc)
+_INT = _Shape("an integer", lambda v: v if type(v) is not bool and isinstance(v, int) else None, int.__repr__)
+_BOOL = _Shape("true or false", lambda v: v if type(v) is bool else None, lambda v: "true" if v else "false")
+_REF = _Shape("a [name, release] pair", _texts(2), lambda v: "[%s,%s]" % (_esc(v[0]), _esc(v[1])))
+_NAME = _Shape("a one-element [name] list", _texts(1), lambda v: "[%s]" % _esc(v[0]))
+_CTYPE = _Shape("one of " + ", ".join(CONTRIBUTION_TYPES),
+                lambda v: v if isinstance(v, str) and v in CONTRIBUTION_TYPES else None, _esc)
+
+# The wire schema: each kind's fields in line order, with their shapes. Every
+# field is required. Validation, the line templates, the event constructors
+# and replay all read this table.
+SCHEMA = {
+    "unit": (("name", _TEXT), ("release", _TEXT), ("time", _INT)),
+    "use": (("from", _REF), ("to", _REF)),
+    "update": (("from", _REF), ("to", _REF)),
+    "contribution": (
+        ("id", _TEXT), ("dev", _TEXT), ("target", _NAME), ("ctype", _CTYPE), ("time", _INT), ("merged", _BOOL),
+    ),
+    "developer-alias": (("canonical", _TEXT), ("alias", _TEXT)),
+}
+_FIELDS = {kind: tuple(key for key, _ in rows) for kind, rows in SCHEMA.items()}
+_HEAD = '{"v":%d,"seq":%%d,"kind":' % SCHEMA_VERSION  # then one %s slot per field in the templates
+_TEMPLATES = {
+    kind: _HEAD + _esc(kind) + "".join(f",{_esc(k)}:%s" for k in keys) + "}\n" for kind, keys in _FIELDS.items()
+}
+
+
+def _rows(kind, payload) -> tuple:
+    """The schema rows of ``kind``, once ``payload`` is known to be an object."""
+    rows = SCHEMA.get(kind) if isinstance(kind, str) else None
+    if rows is None:
+        raise SchemaError(f"unknown event kind {kind!r}")
+    if not isinstance(payload, dict):
+        raise SchemaError("payload must be an object")
+    return rows
+
+
+def _misfit(payload: dict, key: str, shape: _Shape) -> SchemaError:
     if key not in payload:
-        raise SchemaError(f"missing field {key!r}")
-    value = payload[key]
-    if not isinstance(value, types) or isinstance(value, bool) and types is int:
-        raise SchemaError(f"field {key!r} has wrong type {type(value).__name__}")
-    return value
-
-
-def _require_ref(payload: dict, key: str) -> tuple[str, str]:
-    value = _require(payload, key, (list, tuple))
-    if len(value) != 2 or not all(isinstance(p, str) and p for p in value):
-        raise SchemaError(f"field {key!r} must be a [name, release] pair")
-    return (value[0], value[1])
+        return SchemaError(f"missing field {key!r}")
+    return SchemaError(f"field {key!r} must be {shape.what}, got {payload[key]!r:.60}")
 
 
 def validate_payload(kind: str, payload: dict) -> dict:
     """Check a payload against the wire schema and return its canonical
     form (known fields only, schema order). Unknown fields are dropped."""
-    if kind not in KINDS:
-        raise SchemaError(f"unknown event kind {kind!r}")
-    if not isinstance(payload, dict):
-        raise SchemaError("payload must be an object")
-    if kind == "unit":
-        name = _require(payload, "name", str)
-        release = _require(payload, "release", str)
-        if not name or not release:
-            raise SchemaError("unit name and release must be non-empty")
-        time = _require(payload, "time", int)
-        return {"name": name, "release": release, "time": time}
-    if kind in ("use", "update"):
-        return {"from": list(_require_ref(payload, "from")), "to": list(_require_ref(payload, "to"))}
-    if kind == "contribution":
-        cid = _require(payload, "id", str)
-        dev = _require(payload, "dev", str)
-        target = _require(payload, "target", (list, tuple))
-        if len(target) != 1 or not isinstance(target[0], str) or not target[0]:
-            raise SchemaError("field 'target' must be a one-element [name] list")
-        ctype = _require(payload, "ctype", str)
-        if ctype not in CONTRIBUTION_TYPES:
-            raise SchemaError(f"ctype must be one of {CONTRIBUTION_TYPES}, got {ctype!r}")
-        time = _require(payload, "time", int)
-        merged = _require(payload, "merged", bool)
-        if not dev or not cid:
-            raise SchemaError("contribution id and dev must be non-empty")
-        return {
-            "id": cid,
-            "dev": dev,
-            "target": [target[0]],
-            "ctype": ctype,
-            "time": time,
-            "merged": merged,
-        }
-    # developer-alias
-    canonical = _require(payload, "canonical", str)
-    alias = _require(payload, "alias", str)
-    if not canonical or not alias:
-        raise SchemaError("canonical and alias must be non-empty")
-    return {"canonical": canonical, "alias": alias}
+    canonical = {}
+    for key, shape in _rows(kind, payload):
+        value = shape.check(payload.get(key))  # None, absent or not, never fits
+        if value is None:
+            raise _misfit(payload, key, shape)
+        canonical[key] = value
+    return canonical
 
 
-# One line per kind, from a %-template over the canonical payload. Strings go
-# through the C escaper json.dumps uses with ensure_ascii=True, so each line
-# is byte for byte ``json.dumps(record, separators=(",", ":"))``.
-_esc = json.encoder.encode_basestring_ascii
-_HEAD = '{"v":%d,"seq":%%d,"kind":' % SCHEMA_VERSION
-_UNIT = _HEAD + '"unit","name":%s,"release":%s,"time":%d}\n'
-_EDGE = _HEAD + '"%s","from":[%s,%s],"to":[%s,%s]}\n'
-_CONTRIBUTION = _HEAD + '"contribution","id":%s,"dev":%s,"target":[%s],"ctype":%s,"time":%d,"merged":%s}\n'
-_ALIAS = _HEAD + '"developer-alias","canonical":%s,"alias":%s}\n'
-
-
-def _encode(seq: int, kind: str, p: dict) -> str:
-    """The log line of a validated canonical payload ``p``, newline included."""
-    if kind == "unit":
-        return _UNIT % (seq, _esc(p["name"]), _esc(p["release"]), p["time"])
-    if kind == "use" or kind == "update":
-        (a, b), (c, d) = p["from"], p["to"]
-        return _EDGE % (seq, kind, _esc(a), _esc(b), _esc(c), _esc(d))
-    if kind == "contribution":
-        return _CONTRIBUTION % (
-            seq, _esc(p["id"]), _esc(p["dev"]), _esc(p["target"][0]), _esc(p["ctype"]), p["time"],
-            "true" if p["merged"] else "false",
-        )
-    return _ALIAS % (seq, _esc(p["canonical"]), _esc(p["alias"]))
+def _line(seq: int, kind: str, payload: dict) -> str:
+    """The log line of a payload, newline included, checked as by
+    :func:`validate_payload` but in the loop that encodes each field, which
+    is faster than building the canonical dict first."""
+    args = [seq]
+    for key, shape in _rows(kind, payload):
+        value = shape.check(payload.get(key))
+        if value is None:
+            raise _misfit(payload, key, shape)
+        args.append(shape.encode(value))
+    return _TEMPLATES[kind] % tuple(args)
 
 
 def _decode(line: bytes) -> dict:
@@ -189,28 +194,26 @@ def _lines_backwards(fh, end: int):
 # --- convenience constructors ------------------------------------------------
 
 def unit_event(name: str, release: str, time: int) -> EcosystemEvent:
-    return EcosystemEvent("unit", {"name": name, "release": release, "time": int(time)})
+    return EcosystemEvent("unit", dict(zip(_FIELDS["unit"], (name, release, int(time)))))
 
 
 def use_event(src: tuple[str, str], dst: tuple[str, str]) -> EcosystemEvent:
-    return EcosystemEvent("use", {"from": list(src), "to": list(dst)})
+    return EcosystemEvent("use", dict(zip(_FIELDS["use"], (list(src), list(dst)))))
 
 
 def update_event(src: tuple[str, str], dst: tuple[str, str]) -> EcosystemEvent:
-    return EcosystemEvent("update", {"from": list(src), "to": list(dst)})
+    return EcosystemEvent("update", dict(zip(_FIELDS["update"], (list(src), list(dst)))))
 
 
 def contribution_event(
     cid: str, dev: str, target: str, ctype: str, time: int, merged: bool = False
 ) -> EcosystemEvent:
-    return EcosystemEvent(
-        "contribution",
-        {"id": cid, "dev": dev, "target": [target], "ctype": ctype, "time": int(time), "merged": bool(merged)},
-    )
+    values = (cid, dev, [target], ctype, int(time), bool(merged))
+    return EcosystemEvent("contribution", dict(zip(_FIELDS["contribution"], values)))
 
 
 def alias_event(canonical: str, alias: str) -> EcosystemEvent:
-    return EcosystemEvent("developer-alias", {"canonical": canonical, "alias": alias})
+    return EcosystemEvent("developer-alias", dict(zip(_FIELDS["developer-alias"], (canonical, alias))))
 
 
 class EventLog:
@@ -282,10 +285,10 @@ class EventLog:
         size = 0
         try:
             for event in events:
-                payload = validate_payload(event.kind, event.payload)
-                if self._next_seq is None:
+                if self._next_seq is None:  # an invalid first event leaves the file untouched
+                    validate_payload(event.kind, event.payload)
                     self._next_seq = self._scan_last_seq() + 1
-                line = _encode(self._next_seq + len(chunk), event.kind, payload)
+                line = _line(self._next_seq + len(chunk), event.kind, event.payload)
                 chunk.append(line)
                 size += len(line)
                 n += 1
@@ -355,32 +358,23 @@ class ReplayResult:
 
 def _apply_record(result: ReplayResult, line_no: int, record: dict) -> None:
     graph = result.graph
-    seq = record.get("seq") if isinstance(record.get("seq"), int) else None
+    seq = record.get("seq") if type(record.get("seq")) is int else None
     kind = record.get("kind")
     try:
-        payload = validate_payload(kind, record)
-    except SchemaError as exc:
-        result.quarantine.append(
-            QuarantinedEvent(line_no, seq, "SchemaError", str(exc), record)
-        )
-        return
-    try:
+        payload = validate_payload(kind, record)  # its values are in SCHEMA order
         if kind == "unit":
-            graph.add_unit(payload["name"], payload["release"], payload["time"])
-        elif kind in ("use", "update"):
-            src = graph.find(*payload["from"])
-            dst = graph.find(*payload["to"])
+            graph.add_unit(*payload.values())
+        elif kind == "use" or kind == "update":
+            src_ref, dst_ref = payload.values()
+            src, dst = graph.find(*src_ref), graph.find(*dst_ref)
             if src is None or dst is None:
-                missing = payload["from"] if src is None else payload["to"]
+                missing = src_ref if src is None else dst_ref
                 raise UnknownUnit(f"unresolvable reference {missing[0]}@{missing[1]}")
-            if kind == "use":
-                graph.add_use_edge(src, dst)
-            else:
-                graph.add_update_edge(src, dst)
+            (graph.add_use_edge if kind == "use" else graph.add_update_edge)(src, dst)
         elif kind == "contribution":
             result.contributions.append(payload)
         else:
-            result.aliases.append((payload["canonical"], payload["alias"]))
+            result.aliases.append(tuple(payload.values()))
     except PkgverseError as exc:
         result.quarantine.append(
             QuarantinedEvent(line_no, seq, type(exc).__name__, str(exc), record)

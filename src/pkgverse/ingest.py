@@ -261,10 +261,10 @@ def parse_contribution_events(reader, source: str = "<contributions>"):
     """Stream NDJSON contribution records into events.
 
     Each record needs ``author``, ``target``, ``type`` and ``time``;
-    ``merged`` defaults to false, ``id`` to a line-derived identifier, and
-    an optional ``title`` is carried through on the event payload for bot
-    heuristics (it is not part of the persisted wire schema). Bad records
-    are yielded as :class:`Quarantined` items.
+    ``merged`` is a JSON bool, false when absent; ``id`` defaults to a
+    line-derived identifier; an optional ``title`` is carried through on the
+    event payload for bot heuristics (it is not part of the persisted wire
+    schema). Bad records are yielded as :class:`Quarantined` items.
     """
     for line_no, line in enumerate(reader, start=1):
         text = line.strip()
@@ -286,7 +286,8 @@ def parse_contribution_events(reader, source: str = "<contributions>"):
         if not isinstance(author, str) or not author:
             yield Quarantined(source, line_no, "SchemaError", record)
             continue
-        if not isinstance(target, str) or not target or ctype is None:
+        merged = record.get("merged", False)
+        if not isinstance(target, str) or not target or ctype is None or not isinstance(merged, bool):
             yield Quarantined(source, line_no, "SchemaError", record)
             continue
         try:
@@ -297,7 +298,6 @@ def parse_contribution_events(reader, source: str = "<contributions>"):
         cid = record.get("id")
         if not isinstance(cid, str) or not cid:
             cid = f"{target}#{line_no}"
-        merged = bool(record.get("merged", False))
         event = contribution_event(cid, author, target, ctype, time, merged)
         title = record.get("title")
         if isinstance(title, str) and title:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import networkx as nx
 
+from pkgverse.errors import SchemaError
 from pkgverse.graph import TimedSnapshot, UniverseGraph
 
 
@@ -249,3 +250,72 @@ def check_dot_document(text: str):
     if pos != len(tokens):
         raise ValueError("trailing tokens after closing brace")
     return nodes, edges
+
+
+# --- event-log wire schema ------------------------------------------------------
+# A frozen copy of the hand-written validator that eventlog.SCHEMA replaced:
+# one branch per kind, written without the table.
+
+_REFERENCE_KINDS = ("unit", "use", "update", "contribution", "developer-alias")
+_REFERENCE_CONTRIBUTION_TYPES = ("pr", "issue", "discussion")
+
+
+def _require(payload: dict, key: str, types) -> object:
+    if key not in payload:
+        raise SchemaError(f"missing field {key!r}")
+    value = payload[key]
+    if not isinstance(value, types) or isinstance(value, bool) and types is int:
+        raise SchemaError(f"field {key!r} has wrong type {type(value).__name__}")
+    return value
+
+
+def _require_ref(payload: dict, key: str) -> tuple[str, str]:
+    value = _require(payload, key, (list, tuple))
+    if len(value) != 2 or not all(isinstance(p, str) and p for p in value):
+        raise SchemaError(f"field {key!r} must be a [name, release] pair")
+    return (value[0], value[1])
+
+
+def reference_validate_payload(kind: str, payload: dict) -> dict:
+    """Canonical payload of an event, or SchemaError, as the event log
+    validated it before its schema became a table."""
+    if kind not in _REFERENCE_KINDS:
+        raise SchemaError(f"unknown event kind {kind!r}")
+    if not isinstance(payload, dict):
+        raise SchemaError("payload must be an object")
+    if kind == "unit":
+        name = _require(payload, "name", str)
+        release = _require(payload, "release", str)
+        if not name or not release:
+            raise SchemaError("unit name and release must be non-empty")
+        time = _require(payload, "time", int)
+        return {"name": name, "release": release, "time": time}
+    if kind in ("use", "update"):
+        return {"from": list(_require_ref(payload, "from")), "to": list(_require_ref(payload, "to"))}
+    if kind == "contribution":
+        cid = _require(payload, "id", str)
+        dev = _require(payload, "dev", str)
+        target = _require(payload, "target", (list, tuple))
+        if len(target) != 1 or not isinstance(target[0], str) or not target[0]:
+            raise SchemaError("field 'target' must be a one-element [name] list")
+        ctype = _require(payload, "ctype", str)
+        if ctype not in _REFERENCE_CONTRIBUTION_TYPES:
+            raise SchemaError(f"ctype must be one of {_REFERENCE_CONTRIBUTION_TYPES}, got {ctype!r}")
+        time = _require(payload, "time", int)
+        merged = _require(payload, "merged", bool)
+        if not dev or not cid:
+            raise SchemaError("contribution id and dev must be non-empty")
+        return {
+            "id": cid,
+            "dev": dev,
+            "target": [target[0]],
+            "ctype": ctype,
+            "time": time,
+            "merged": merged,
+        }
+    # developer-alias
+    canonical = _require(payload, "canonical", str)
+    alias = _require(payload, "alias", str)
+    if not canonical or not alias:
+        raise SchemaError("canonical and alias must be non-empty")
+    return {"canonical": canonical, "alias": alias}

@@ -383,6 +383,28 @@ class TestSample:
         assert main(["sample", "--log", str(universe_log), "--metric", "contributors",
                      "--k", "1"]) == 1
 
+    @pytest.mark.parametrize("argv, table, detail", [
+        (["--metric", "dependents", "--k", "0"], None, "k must be >= 1"),
+        (["--metric", "popularity", "--k", "1"], "package,stars\nx,3\n", "popularity.csv:2:"),
+        (["--metric", "popularity", "--k", "1"], "name,score\nx,3\n", "popularity.csv:2:"),
+        (["--metric", "popularity", "--k", "1"], "package,score\nx,3\nq,lots\n", "popularity.csv:3:"),
+    ])
+    def test_bad_input_exits_1_with_one_error_line(self, universe_log, tmp_path, argv, table, detail):
+        if table is not None:
+            (tmp_path / "popularity.csv").write_text(table)
+            argv = [*argv, "--popularity-csv", str(tmp_path / "popularity.csv")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])
+        ))
+        proc = subprocess.run(
+            [sys.executable, "-m", "pkgverse", "sample", "--log", str(universe_log), *argv],
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stdout == ""
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("error: ") and detail in line
+
     def test_csv_format(self, universe_log, capsys):
         code = main(["sample", "--log", str(universe_log), "--at", "5", "--metric", "dependents",
                      "--k", "1", "--measure-breakage", "--format", "csv"])

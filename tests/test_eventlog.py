@@ -22,6 +22,8 @@ from pkgverse.eventlog import (
 )
 from pkgverse.fixtures import sample_universe, sample_universe_events, sample_universe_extended
 
+from oracles import reference_validate_payload
+
 
 def write_log(path, events):
     path.touch()
@@ -187,6 +189,12 @@ class TestReplay:
         result = replay(path)
         assert result.graph.unit_count() == 0
         assert result.quarantine[0].reason == "SchemaError"
+
+    def test_quarantined_record_with_bool_seq_reports_no_seq(self, tmp_path):
+        path = tmp_path / "log.ndjson"
+        path.write_text('{"v":1,"seq":true,"kind":"unit","name":"a","time":1}\n')
+        result = replay(path)
+        assert [(q.reason, q.seq) for q in result.quarantine] == [("SchemaError", None)]
 
     def test_strict_mode_quarantines_time_anomalies(self, tmp_path):
         path = tmp_path / "log.ndjson"
@@ -428,3 +436,92 @@ class TestEncoding:
             assert len(path.read_text().splitlines()) == 2
             assert log.append(unit_event("a", "3", 3)) == 3
         assert [json.loads(line)["seq"] for line in path.read_text().splitlines()] == [1, 2, 3]
+
+
+# Payloads around the wire schema: every kind, unknown kinds and non-object
+# payloads; fields missing, extra, empty or of the wrong type (bools where
+# ints belong, tuples for lists, refs of the wrong length); text with
+# non-ASCII characters, quotes and backslashes.
+_FIELD_SHAPES = {
+    "unit": (("name", "text"), ("release", "text"), ("time", "int")),
+    "use": (("from", "ref"), ("to", "ref")),
+    "update": (("from", "ref"), ("to", "ref")),
+    "contribution": (("id", "text"), ("dev", "text"), ("target", "name"), ("ctype", "ctype"),
+                     ("time", "int"), ("merged", "bool")),
+    "developer-alias": (("canonical", "text"), ("alias", "text")),
+}
+_some_text = st.one_of(
+    st.text(min_size=1, max_size=6), st.sampled_from(['"', "\\", "é", "😀", 'a"b\\c', "\x00"])
+)
+_junk = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False), st.text(max_size=3),
+    st.lists(st.integers(), max_size=3), st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+)
+
+
+def _texts_of(n, near_miss):
+    """Lists and tuples of ``n`` non-empty strings, or near misses: the
+    wrong length, or the right one holding an empty string."""
+    if near_miss:
+        wrong_length = st.lists(_some_text, max_size=n + 2).filter(lambda v: len(v) != n)
+        some_empty = st.lists(st.one_of(_some_text, st.just("")), min_size=n, max_size=n)
+        with_empty = some_empty.filter(lambda v: "" in v)
+        listed = st.one_of(wrong_length, with_empty)
+    else:
+        listed = st.lists(_some_text, min_size=n, max_size=n)
+    return st.one_of(listed, listed.map(tuple))
+
+
+# per shape: values that fit, and near misses that do not
+_VALUES = {
+    "text": (_some_text, st.just("")),
+    "int": (st.integers(-(2**70), 2**70), st.booleans()),
+    "bool": (st.booleans(), st.integers(0, 1)),
+    "ref": (_texts_of(2, False), _texts_of(2, True)),
+    "name": (_texts_of(1, False), _texts_of(1, True)),
+    "ctype": (st.sampled_from(CONTRIBUTION_TYPES), st.sampled_from(["vote", "PR", ""])),
+}
+
+
+@st.composite
+def _wire_payloads(draw, kind):
+    """Payloads for ``kind`` (any unknown one for None) with at most one
+    defect each."""
+    if kind is None:
+        kind = draw(st.sampled_from(["rename", "", None, ["unit"]]))
+    if draw(st.integers(0, 19)) == 0:
+        return kind, draw(st.one_of(_junk, st.lists(st.tuples(st.text(max_size=4), st.integers()))))
+    rows = _FIELD_SHAPES.get(kind) if isinstance(kind, str) else None
+    rows = rows or draw(st.sampled_from(list(_FIELD_SHAPES.values())))
+    defect_at = draw(st.integers(-1, len(rows) - 1))  # -1: none
+    defect = draw(st.sampled_from(["missing", "junk", "near miss"]))
+    payload = {}
+    for i, (key, shape) in enumerate(rows):
+        fits, near_miss = _VALUES[shape]
+        if i != defect_at:
+            payload[key] = draw(fits)
+        elif defect != "missing":
+            payload[key] = draw(_junk if defect == "junk" else near_miss)
+    extra = st.dictionaries(st.sampled_from(["v", "seq", "kind", "title", "junk"]), _junk, max_size=2)
+    return kind, {**payload, **draw(extra)}
+
+
+class TestSchemaTable:
+    @pytest.mark.parametrize("kind", [*_FIELD_SHAPES, None])
+    @settings(deadline=None, max_examples=250)
+    @given(data=st.data())
+    def test_validate_payload_matches_the_hand_written_reference(self, kind, data):
+        kind, payload = data.draw(_wire_payloads(kind))
+        try:
+            expected = reference_validate_payload(kind, payload)
+        except SchemaError:
+            with pytest.raises(SchemaError):
+                validate_payload(kind, payload)
+            with pytest.raises(SchemaError):
+                eventlog._line(1, kind, payload)
+            return
+        got = validate_payload(kind, payload)
+        assert list(got.items()) == list(expected.items())
+        assert [type(v) for v in got.values()] == [type(v) for v in expected.values()]
+        record = {"v": 1, "seq": 7, "kind": kind, **expected}
+        assert eventlog._line(7, kind, payload) == json.dumps(record, separators=(",", ":")) + "\n"

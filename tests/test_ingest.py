@@ -194,11 +194,19 @@ class TestParseContributionEvents:
         assert events == []
         assert quarantined[0].reason == "SchemaError"
 
+    @pytest.mark.parametrize("merged", ['"false"', '"true"', "0", "1", "null", "[]"])
+    def test_merged_that_is_not_a_json_bool_is_quarantined(self, merged):
+        text = '{"author":"bob","target":"app","type":"pr","time":5,"merged":%s}\n' % merged
+        events, quarantined = run_contributions(text)
+        assert events == []
+        assert [q.reason for q in quarantined] == ["SchemaError"]
+
     def test_discussion_accepted(self):
         text = '{"author":"bob","target":"app","type":"discussion","time":5}\n'
         events, _ = run_contributions(text)
         assert events[0].payload["ctype"] == "discussion"
         assert events[0].payload["id"] == "app#1"
+        assert events[0].payload["merged"] is False
 
     def test_title_carried_in_memory(self):
         text = '{"author":"bob","target":"app","type":"pr","time":5,"title":"bump x"}\n'
