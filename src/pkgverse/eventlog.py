@@ -21,6 +21,12 @@ and everything that reads or writes events derives from it; one event per line::
 ``seq`` is assigned by the log on append, never by the caller, so a single
 log is gap-free. Temporal queries key on release time.
 
+Replay reads lines as the templates write them (ASCII text without
+escapes, ints of at most 100 digits) with one regex derived from the same
+table. Any other valid spelling (escapes, non-ASCII text, other key orders,
+whitespace, extra fields) is read as before, by ``json.loads`` and
+:func:`validate_payload`; both give the same graph and quarantine.
+
 A record commits with its trailing newline. ``append`` writes and flushes
 one line; ``append_events`` writes its lines in chunks of whole lines and
 flushes once per chunk, so a batch reaches the file before the call
@@ -38,6 +44,7 @@ from __future__ import annotations
 import itertools
 import json
 import os
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -79,38 +86,58 @@ class EcosystemEvent:
 
 @dataclass(frozen=True, slots=True)
 class _Shape:
-    """What one field's value must be on the wire."""
+    """What one field's value must be on the wire, and its text codec."""
 
     what: str  # completes "field 'x' must be ..." in a SchemaError
-    check: Callable[[object], object]  # the canonical value, or None when the value does not fit
-    encode: Callable[[object], str]  # the JSON text of a canonical value
+    dump: Callable[[object], str | None]  # the JSON text of a value that fits, else None
+    pattern: bytes  # regex of the canonical JSON text, one group around what load reads
+    load: Callable[[bytes], object]  # the canonical value of that group
+    canonical: Callable[[object], object] = lambda v: v  # of a value that fits
+
+    def check(self, value):
+        """The canonical value, or None when the value does not fit."""
+        return None if self.dump(value) is None else self.canonical(value)
 
 
 # Strings go through the C escaper json.dumps uses with ensure_ascii=True, so
 # each line is byte for byte ``json.dumps(record, separators=(",", ":"))``.
 _esc = json.encoder.encode_basestring_ascii
+# The content of a JSON string that json.loads reads verbatim: ASCII without
+# quotes, backslashes or control characters. Replay reads other strings as JSON.
+_RAW = rb'[^"\\\x00-\x1f\x80-\xff]+'
 
 
-def _texts(n: int):
-    """A check for a list or tuple of ``n`` non-empty strings."""
-    def check(v):
-        if not isinstance(v, (list, tuple)) or len(v) != n:
-            return None
-        return list(v) if all(map(isinstance, v, itertools.repeat(str))) and all(v) else None
-    return check
+def _dump_ref(v):
+    if isinstance(v, (list, tuple)) and len(v) == 2:
+        name, release = v
+        if isinstance(name, str) and isinstance(release, str) and name and release:
+            return "[%s,%s]" % (_esc(name), _esc(release))
+    return None
 
 
-_TEXT = _Shape("a non-empty string", lambda v: v if isinstance(v, str) and v else None, _esc)
-_INT = _Shape("an integer", lambda v: v if type(v) is not bool and isinstance(v, int) else None, int.__repr__)
-_BOOL = _Shape("true or false", lambda v: v if type(v) is bool else None, lambda v: "true" if v else "false")
-_REF = _Shape("a [name, release] pair", _texts(2), lambda v: "[%s,%s]" % (_esc(v[0]), _esc(v[1])))
-_NAME = _Shape("a one-element [name] list", _texts(1), lambda v: "[%s]" % _esc(v[0]))
+def _dump_name(v):
+    if isinstance(v, (list, tuple)) and len(v) == 1 and isinstance(v[0], str) and v[0]:
+        return "[%s]" % _esc(v[0])
+    return None
+
+
+_TEXT = _Shape("a non-empty string", lambda v: _esc(v) if isinstance(v, str) and v else None,
+               b'"(%s)"' % _RAW, bytes.decode)
+# longer ints are read as JSON, under json.loads' own limit on int digits
+_INT = _Shape("an integer", lambda v: int.__repr__(v) if type(v) is not bool and isinstance(v, int) else None,
+              rb"(0|-?[1-9][0-9]{0,99})", int)
+_BOOL = _Shape("true or false", lambda v: ("true" if v else "false") if type(v) is bool else None,
+               rb"(true|false)", b"true".__eq__)
+_REF = _Shape("a [name, release] pair", _dump_ref, rb'\["(%s","%s)"\]' % (_RAW, _RAW),
+              lambda b: b.decode().split('","'), list)
+_NAME = _Shape("a one-element [name] list", _dump_name, rb'\["(%s)"\]' % _RAW, lambda b: [b.decode()], list)
 _CTYPE = _Shape("one of " + ", ".join(CONTRIBUTION_TYPES),
-                lambda v: v if isinstance(v, str) and v in CONTRIBUTION_TYPES else None, _esc)
+                lambda v: _esc(v) if isinstance(v, str) and v in CONTRIBUTION_TYPES else None,
+                b'"(%s)"' % b"|".join(t.encode() for t in CONTRIBUTION_TYPES), bytes.decode)
 
 # The wire schema: each kind's fields in line order, with their shapes. Every
-# field is required. Validation, the line templates, the event constructors
-# and replay all read this table.
+# field is required. Validation, the line templates, the line regex, the event
+# constructors and replay all read this table.
 SCHEMA = {
     "unit": (("name", _TEXT), ("release", _TEXT), ("time", _INT)),
     "use": (("from", _REF), ("to", _REF)),
@@ -125,6 +152,24 @@ _HEAD = '{"v":%d,"seq":%%d,"kind":' % SCHEMA_VERSION  # then one %s slot per fie
 _TEMPLATES = {
     kind: _HEAD + _esc(kind) + "".join(f",{_esc(k)}:%s" for k in keys) + "}\n" for kind, keys in _FIELDS.items()
 }
+
+
+def _canonical_line():
+    """One regex for the template lines without escapes, each slot replaced
+    by its shape's pattern: the seq in group 1, then one alternative per kind.
+    Keyed by each kind's last group (a match's ``lastindex``): the kind, its
+    first group and its loads."""
+    kinds, by_last, last = [], {}, 1
+    for kind, rows in SCHEMA.items():
+        literals = re.escape(_TEMPLATES[kind][len(_HEAD):-1]).encode().split(b"%s")
+        kinds.append(b"".join(text + shape.pattern for text, (_, shape) in zip(literals, rows)) + literals[-1])
+        by_last[last + len(rows)] = (kind, last, tuple(shape.load for _, shape in rows))
+        last += len(rows)
+    head = re.escape(_HEAD).encode().replace(b"%d", _INT.pattern)
+    return re.compile(head + b"(?:%s)\n?" % b"|".join(kinds)), by_last
+
+
+_CANONICAL, _BY_LAST_GROUP = _canonical_line()
 
 
 def _rows(kind, payload) -> tuple:
@@ -157,14 +202,14 @@ def validate_payload(kind: str, payload: dict) -> dict:
 
 def _line(seq: int, kind: str, payload: dict) -> str:
     """The log line of a payload, newline included, checked as by
-    :func:`validate_payload` but in the loop that encodes each field, which
-    is faster than building the canonical dict first."""
+    :func:`validate_payload` but with one call per field that checks and
+    encodes it, which is faster than building the canonical dict first."""
     args = [seq]
     for key, shape in _rows(kind, payload):
-        value = shape.check(payload.get(key))
-        if value is None:
+        text = shape.dump(payload.get(key))
+        if text is None:
             raise _misfit(payload, key, shape)
-        args.append(shape.encode(value))
+        args.append(text)
     return _TEMPLATES[kind] % tuple(args)
 
 
@@ -174,6 +219,14 @@ def _decode(line: bytes) -> dict:
     if not isinstance(record, dict):
         raise ValueError("not a JSON object")
     return record
+
+
+def _damaged(path, line_no: int, line: bytes, exc: ValueError) -> CorruptLog:
+    """The error for a line that holds no JSON object: TornTail when it is
+    the final one and lacks its newline, else CorruptLog."""
+    error = CorruptLog if line.endswith(b"\n") else TornTail
+    problem = exc if line.strip() else "blank line"
+    return error(f"{path}:{line_no}: {problem}")
 
 
 def _lines_backwards(fh, end: int):
@@ -328,9 +381,7 @@ class EventLog:
                 try:
                     record = _decode(line)
                 except ValueError as exc:
-                    error = CorruptLog if line.endswith(b"\n") else TornTail
-                    problem = exc if line.strip() else "blank line"
-                    raise error(f"{self.path}:{line_no}: {problem}") from None
+                    raise _damaged(self.path, line_no, line, exc) from None
                 yield line_no, record
 
 
@@ -356,29 +407,22 @@ class ReplayResult:
     quarantine: list[QuarantinedEvent] = field(default_factory=list)
 
 
-def _apply_record(result: ReplayResult, line_no: int, record: dict) -> None:
+def _apply(result: ReplayResult, kind: str, values) -> None:
+    """Apply one event from its canonical field values, in SCHEMA order."""
     graph = result.graph
-    seq = record.get("seq") if type(record.get("seq")) is int else None
-    kind = record.get("kind")
-    try:
-        payload = validate_payload(kind, record)  # its values are in SCHEMA order
-        if kind == "unit":
-            graph.add_unit(*payload.values())
-        elif kind == "use" or kind == "update":
-            src_ref, dst_ref = payload.values()
-            src, dst = graph.find(*src_ref), graph.find(*dst_ref)
-            if src is None or dst is None:
-                missing = src_ref if src is None else dst_ref
-                raise UnknownUnit(f"unresolvable reference {missing[0]}@{missing[1]}")
-            (graph.add_use_edge if kind == "use" else graph.add_update_edge)(src, dst)
-        elif kind == "contribution":
-            result.contributions.append(payload)
-        else:
-            result.aliases.append(tuple(payload.values()))
-    except PkgverseError as exc:
-        result.quarantine.append(
-            QuarantinedEvent(line_no, seq, type(exc).__name__, str(exc), record)
-        )
+    if kind == "unit":
+        graph.add_unit(*values)
+    elif kind == "use" or kind == "update":
+        src_ref, dst_ref = values
+        src, dst = graph.find(*src_ref), graph.find(*dst_ref)
+        if src is None or dst is None:
+            missing = src_ref if src is None else dst_ref
+            raise UnknownUnit(f"unresolvable reference {missing[0]}@{missing[1]}")
+        (graph.add_use_edge if kind == "use" else graph.add_update_edge)(src, dst)
+    elif kind == "contribution":
+        result.contributions.append(dict(zip(_FIELDS[kind], values)))
+    else:
+        result.aliases.append(tuple(values))
 
 
 def replay(
@@ -393,15 +437,32 @@ def replay(
     reported as a ``TornTail`` entry with an empty record; any other line
     that is not a JSON object raises :class:`CorruptLog`.
     """
-    if not isinstance(log, EventLog):
-        log = EventLog(log)
+    path = log.path if isinstance(log, EventLog) else Path(log)
     result = into if into is not None else ReplayResult(graph=UniverseGraph(strict=strict))
-    line_no = 0
-    try:
-        for line_no, record in log.read_raw():
-            _apply_record(result, line_no, record)
-    except TornTail as exc:
-        result.quarantine.append(QuarantinedEvent(line_no + 1, None, "TornTail", str(exc), {}))
+    with open(path, "rb") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            m = _CANONICAL.fullmatch(line)
+            if m is not None:  # as the templates write it: the fields are read off the match
+                kind, first, loads = _BY_LAST_GROUP[m.lastindex]
+                seq, record = int(m[1]), None
+                values = [load(g) for load, g in zip(loads, m.groups()[first:m.lastindex])]
+            else:
+                try:
+                    record = _decode(line)
+                except ValueError as exc:
+                    error = _damaged(path, line_no, line, exc)
+                    if type(error) is not TornTail:
+                        raise error from None
+                    result.quarantine.append(QuarantinedEvent(line_no, None, "TornTail", str(error), {}))
+                    break
+                seq, kind = record.get("seq"), record.get("kind")
+                seq = seq if type(seq) is int else None
+            try:
+                _apply(result, kind, values if record is None else validate_payload(kind, record).values())
+            except PkgverseError as exc:
+                if record is None:  # the record json.loads would give
+                    record = {"v": SCHEMA_VERSION, "seq": seq, "kind": kind, **dict(zip(_FIELDS[kind], values))}
+                result.quarantine.append(QuarantinedEvent(line_no, seq, type(exc).__name__, str(exc), record))
     return result
 
 

@@ -98,15 +98,25 @@ def snapshot_to_graphml(snapshot: TimedSnapshot) -> str:
     return "\n".join(lines) + "\n"
 
 
+_JSON_UNIT = '    {\n      "name": %s,\n      "release": %s,\n      "time": %d,\n      "uid": %d\n    }'
+_JSON_EDGE = "    [\n      %d,\n      %d\n    ]"
+
+
+def _json_list(items: list[str]) -> str:
+    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
+
+
 def snapshot_to_json(snapshot: TimedSnapshot) -> str:
+    """What ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"`` writes,
+    from templates: with ``indent`` set, json encodes in pure Python."""
     units, use_edges, update_edges = _sorted_parts(snapshot)
-    doc = {
-        "at": snapshot.at,
-        "units": [{"uid": u.uid, "name": u.name, "release": u.release, "time": u.time} for u in units],
-        "use_edges": [[e.src, e.dst] for e in use_edges],
-        "update_edges": [[e.src, e.dst] for e in update_edges],
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    esc = json.encoder.encode_basestring_ascii
+    return '{\n  "at": %s,\n  "units": %s,\n  "update_edges": %s,\n  "use_edges": %s\n}\n' % (
+        json.dumps(snapshot.at),
+        _json_list([_JSON_UNIT % (esc(u.name), esc(u.release), u.time, u.uid) for u in units]),
+        _json_list([_JSON_EDGE % (e.src, e.dst) for e in update_edges]),
+        _json_list([_JSON_EDGE % (e.src, e.dst) for e in use_edges]),
+    )
 
 
 CONGRUENCE_COLUMNS = (

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -71,7 +72,7 @@ def parse_timestamp(value) -> int:
     """Normalize epoch seconds or ISO-8601 text to UTC epoch seconds."""
     if isinstance(value, bool):
         raise InvalidTimestamp(f"not a timestamp: {value!r}")
-    if isinstance(value, (int, float)):
+    if isinstance(value, int) or isinstance(value, float) and math.isfinite(value):
         return int(value)
     if isinstance(value, str):
         text = value.strip()

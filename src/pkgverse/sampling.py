@@ -298,6 +298,8 @@ def activity_report(
     but the query reads the graph's own maps instead of building that
     snapshot; a snapshot is read whole.
     """
+    if window <= 0:
+        raise InvalidRange(f"window must be positive, got {window}")
     live = isinstance(g, UniverseGraph)
     if at is None:
         if live and not g.unit_count():

@@ -131,6 +131,19 @@ class TestIngest:
         assert code == 0
         assert len(log.read_text().splitlines()) == 6
 
+    @pytest.mark.parametrize("time", ["NaN", "Infinity", "-Infinity", "1e400"])
+    def test_non_finite_time_is_quarantined(self, tmp_path, time):
+        source = tmp_path / "contributions.ndjson"
+        source.write_text(
+            '{"id": "c1", "author": "alice", "target": "app", "type": "pr", "time": 10}\n'
+            '{"id": "c2", "author": "bob", "target": "app", "type": "pr", "time": %s}\n' % time
+        )
+        log = tmp_path / "log.ndjson"
+        assert main(["ingest", str(source), "--kind", "contributions", "--log", str(log)]) == 2
+        assert len(log.read_text().splitlines()) == 1
+        [entry] = map(json.loads, (tmp_path / "log.ndjson.quarantine.ndjson").read_text().splitlines())
+        assert (entry["line"], entry["reason"]) == (2, "InvalidTimestamp")
+
     def test_100k_row_dump_summary_matches_line_count(self, tmp_path, capsys):
         rows = ["platform,name,version,released_at,dep_name,dep_requirement"]
         for i in range(100_000):
@@ -428,6 +441,21 @@ class TestActivity:
     def test_unknown_package_is_fatal(self, universe_log, capsys):
         assert main(["activity", "--log", str(universe_log), "--package", "nope"]) == 1
 
+    @pytest.mark.parametrize("window", ["0", "0d", "-5d"])
+    def test_non_positive_window_exits_1_with_one_error_line(self, universe_log, window):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])
+        ))
+        proc = subprocess.run(
+            [sys.executable, "-m", "pkgverse", "activity", "--log", str(universe_log), "--package", "x",
+             f"--window={window}", "--at", "20"],
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stdout == ""
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("error: ") and "window must be positive" in line
+
     def test_csv_format_single_row(self, universe_log, capsys):
         code = main(["activity", "--log", str(universe_log), "--package", "x",
                      "--window", "2s", "--at", "20", "--format", "csv"])
@@ -452,3 +480,22 @@ class TestRegistries:
 
     def test_unknown_is_fatal(self, capsys):
         assert main(["registries", "--ecosystem", "nope"]) == 1
+
+
+class TestImportFootprint:
+    def test_cli_loads_only_light_stdlib_modules(self):
+        # What `import pkgverse.cli` adds to a fresh interpreter (-S: no site
+        # imports): stdlib modules only, and none of the mail, HTTP and XML
+        # packages or urllib.request, which xml.sax.saxutils once pulled in
+        # with 6 MB of RSS. pathlib itself imports urllib.parse.
+        code = "import sys; b = set(sys.modules); import pkgverse.cli; print(*sorted(set(sys.modules) - b))"
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", code],
+            env=dict(os.environ, PYTHONPATH=str(REPO / "src")), capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded = proc.stdout.split()
+        assert "pkgverse.cli" in loaded
+        assert {name.partition(".")[0] for name in loaded} - {"pkgverse"} <= sys.stdlib_module_names
+        heavy = [n for n in loaded if n == "urllib.request" or n.partition(".")[0] in ("email", "http", "xml")]
+        assert heavy == []

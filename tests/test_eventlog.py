@@ -1,7 +1,10 @@
 import json
 import random
+import re
 import tempfile
+from operator import attrgetter
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -525,3 +528,102 @@ class TestSchemaTable:
         assert [type(v) for v in got.values()] == [type(v) for v in expected.values()]
         record = {"v": 1, "seq": 7, "kind": kind, **expected}
         assert eventlog._line(7, kind, payload) == json.dumps(record, separators=(",", ":")) + "\n"
+
+
+# Replay reads canonical lines with one regex and every other line as JSON;
+# both must give the same graph, payloads and quarantine. Each spelling
+# below writes one record's line: canonical lines without escapes take the
+# regex, and the other spellings take the JSON path (unless, like raw
+# non-ASCII of ASCII text, they come out canonical).
+_compact = dict(separators=(",", ":"))
+_SPELLINGS = {
+    "canonical": lambda r: eventlog._line(r["seq"], r["kind"], r),
+    "sorted keys": lambda r: json.dumps(r, sort_keys=True, **_compact) + "\n",
+    "whitespace": lambda r: json.dumps(r) + "\n",
+    "raw non-ASCII": lambda r: json.dumps(r, ensure_ascii=False, **_compact) + "\n",
+    "extra field": lambda r: json.dumps({**r, "title": "t"}, **_compact) + "\n",
+    "CRLF": lambda r: eventlog._line(r["seq"], r["kind"], r)[:-1] + "\r\n",
+    "seq -0": lambda r: eventlog._line(r["seq"], r["kind"], r).replace('"seq":%d,' % r["seq"], '"seq":-0,'),
+    "bools for ints": lambda r: json.dumps({**r, "seq": True, "time": True}, **_compact) + "\n",
+    "wrong type": lambda r: json.dumps({**r, list(r)[3]: 1.5}, **_compact) + "\n",
+    "v 2": lambda r: json.dumps({**r, "v": 2}, **_compact) + "\n",
+}
+_pool_name = st.sampled_from(["a", "b", "é", 'q"', "s\\", "\x01", "😀"])
+_pool_release = st.sampled_from(["1", "2"])
+_pool_time = st.one_of(st.integers(-2, 5), st.just(-(10**120)))  # the latter too long for the regex
+_pool_ref = st.tuples(_pool_name, _pool_release)
+_pool_events = st.one_of(
+    st.builds(unit_event, _pool_name, _pool_release, _pool_time),
+    st.builds(use_event, _pool_ref, _pool_ref),
+    st.builds(update_event, _pool_ref, _pool_ref),
+    st.builds(contribution_event, _pool_name, _pool_name, _pool_name, st.sampled_from(CONTRIBUTION_TYPES),
+              _pool_time, st.booleans()),
+    st.builds(alias_event, _pool_name, _pool_name),
+)
+
+
+@st.composite
+def _random_logs(draw):
+    """The bytes of a log: events in any spelling, with at times a damaged
+    line in the middle, a torn tail or a final line without its newline."""
+    events = draw(st.lists(st.tuples(_pool_events, st.sampled_from(list(_SPELLINGS))), max_size=25))
+    lines = [
+        _SPELLINGS[spelling]({"v": 1, "seq": seq, "kind": e.kind, **e.payload}).encode()
+        for seq, (e, spelling) in enumerate(events, start=1)
+    ]
+    damage = draw(st.sampled_from(["none"] * 4 + ["torn tail", "no final newline", "corrupt line"]))
+    if damage == "corrupt line":
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from([b"[1]\n", b"\n", b"\xff\n"])))
+    elif damage == "torn tail":
+        lines.append(b'{"v":1,"seq":99')
+    elif damage == "no final newline" and lines:
+        lines[-1] = lines[-1].rstrip(b"\r\n")
+    return b"".join(lines)
+
+
+def _replayed(path) -> str:
+    """Everything a replay gives, or the CorruptLog it raises, as text that
+    tells ints from bools and shows the key order of every record."""
+    try:
+        result = replay(path)
+    except CorruptLog as exc:
+        return f"CorruptLog: {exc}"
+    g = result.graph
+    ends = attrgetter("src", "dst")
+    quarantine = [(q.line_no, q.seq, q.reason, q.detail, list(q.record.items())) for q in result.quarantine]
+    return repr((
+        g.units, sorted(g.use_edges, key=ends), sorted(g.update_edges, key=ends), g.anomalies,
+        [list(c.items()) for c in result.contributions], result.aliases, quarantine,
+    ))
+
+
+def _replayed_as_json(path) -> str:
+    with mock.patch.object(eventlog, "_CANONICAL", re.compile(rb"(?!)")):
+        return _replayed(path)
+
+
+class TestReplayFastPath:
+    @settings(deadline=None, max_examples=300)
+    @given(data=_random_logs())
+    def test_regex_and_json_paths_agree(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "log.ndjson"
+            path.write_bytes(data)
+            assert _replayed(path) == _replayed_as_json(path)
+
+    def test_canonical_lines_are_not_read_as_json(self, tmp_path):
+        path = tmp_path / "log.ndjson"
+        events = [*sample_universe_events(extended=True), contribution_event("c1", "ann", "x", "pr", 3, True),
+                  alias_event("ann", "a.n"), unit_event("x", "1", 9)]  # the last one is a duplicate
+        write_log(path, events)
+        with mock.patch.object(eventlog, "_decode", side_effect=AssertionError("read as JSON")):
+            fast = _replayed(path)
+        assert fast == _replayed_as_json(path)
+        assert "DuplicateUnit" in fast and "'merged', True" in fast
+
+    def test_canonical_regex_takes_only_what_json_reads_the_same(self):
+        line = eventlog._line(3, "unit", {"name": "a", "release": "1", "time": 5})
+        assert eventlog._CANONICAL.fullmatch(line.encode())
+        for other in (line.replace('"a"', '"\\u0061"'), line.replace(":5", ":05"), line.replace(":5", ":-0"),
+                      line.replace('"a"', '"\xe9"'), line.replace('"v":1', '"v":2'), line + "\n", " " + line):
+            assert eventlog._CANONICAL.fullmatch(other.encode()) is None, other

@@ -1,5 +1,9 @@
 import io
+import json
 import xml.etree.ElementTree as ET
+from operator import attrgetter
+
+from hypothesis import given, settings, strategies as st
 
 from pkgverse.contrib import CongruentPair, Window
 from pkgverse.export import (
@@ -141,10 +145,62 @@ class TestGraphmlText:
             assert snapshot_to_graphml(snap) == graphml_via_elementtree(snap)
 
 
-class TestJson:
-    def test_document_shape(self):
-        import json
+def json_via_dumps(snapshot) -> str:
+    """The JSON export built as dicts and lists and written by json.dumps."""
+    ends = attrgetter("src", "dst")
+    doc = {
+        "at": snapshot.at,
+        "units": [
+            {"uid": u.uid, "name": u.name, "release": u.release, "time": u.time}
+            for u in sorted(snapshot.units, key=lambda u: u.uid)
+        ],
+        "use_edges": [[e.src, e.dst] for e in sorted(snapshot.use_edges, key=ends)],
+        "update_edges": [[e.src, e.dst] for e in sorted(snapshot.update_edges, key=ends)],
+    }
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
+
+_label = st.text(
+    st.one_of(st.characters(exclude_categories=()), st.sampled_from('"\\\x00\x1f\x7f\né😀')),
+    min_size=1,
+    max_size=8,
+)
+
+
+@st.composite
+def _universes(draw):
+    """Units with labels full of quotes, backslashes, control and non-ASCII
+    characters; use-edges between any two; update chains in time order."""
+    g = UniverseGraph()
+    rows = st.tuples(_label, st.one_of(st.sampled_from(["1", "2"]), _label), st.integers(-5, 20))
+    for name, release, time in draw(st.lists(rows, max_size=12, unique_by=lambda r: r[:2])):
+        g.add_unit(name, release, time)
+    n = g.unit_count()
+    pairs = st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0)))
+    for a, b in draw(st.lists(pairs, max_size=3 * n, unique=True)):
+        if a != b:
+            g.add_use_edge(a, b)
+    for name in sorted(g.names()):
+        chain = sorted(g.units_of_name(name), key=lambda u: (g.unit(u).time, u))
+        for a, b in zip(chain, chain[1:]):
+            if g.unit(a).time < g.unit(b).time:
+                g.add_update_edge(a, b)
+    return g
+
+
+class TestJson:
+    @settings(deadline=None, max_examples=200)
+    @given(g=_universes(), at=st.integers(-6, 21))
+    def test_text_equals_json_dumps(self, g, at):
+        snap = g.timed_snapshot(at)
+        assert snapshot_to_json(snap) == json_via_dumps(snap)
+
+    def test_empty_snapshot(self):
+        snap = markup_universe().timed_snapshot(0)
+        assert snapshot_to_json(snap) == json_via_dumps(snap)
+        assert snapshot_to_json(snap) == '{\n  "at": 0,\n  "units": [],\n  "update_edges": [],\n  "use_edges": []\n}\n'
+
+    def test_document_shape(self):
         _, snap = full_snapshot()
         doc = json.loads(snapshot_to_json(snap))
         assert doc["at"] == snap.at

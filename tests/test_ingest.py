@@ -35,7 +35,7 @@ class TestParseTimestamp:
     def test_accepted(self, value, expected):
         assert parse_timestamp(value) == expected
 
-    @pytest.mark.parametrize("bad", ["", "yesterday", None, True, [1]])
+    @pytest.mark.parametrize("bad", ["", "yesterday", None, True, [1], float("nan"), float("inf"), float("-inf")])
     def test_rejected(self, bad):
         with pytest.raises(InvalidTimestamp):
             parse_timestamp(bad)

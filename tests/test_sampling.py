@@ -292,6 +292,12 @@ class TestActivityReport:
         with pytest.raises(UnknownPackage):
             activity_report(g, "ghost", window=10)
 
+    @pytest.mark.parametrize("window", [0, -5])
+    def test_non_positive_window(self, window):
+        g, _ = sample_universe()
+        with pytest.raises(InvalidRange):
+            activity_report(g, "x", window=window, at=20)
+
     def test_threshold_configurable(self):
         g, _ = sample_universe()
         report = activity_report(g, "x", window=2, at=20, dormant_threshold=99)
