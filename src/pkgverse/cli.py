@@ -259,8 +259,6 @@ def cmd_congruence(args) -> int:
         t_lo, t_hi = 0, 1
     start = parse_timestamp(args.window_start) if args.window_start is not None else t_lo - 1
     end = parse_timestamp(args.window_end) if args.window_end is not None else t_hi
-    if end <= start:
-        end = start + 1
     # cross-window mode drops the co-window requirement by spanning the
     # whole range with a single window
     width = end - start if args.cross_window else _parse_duration(args.window)

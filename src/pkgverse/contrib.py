@@ -342,9 +342,13 @@ def build_dc_graph(
 ) -> DcGraph:
     """Join the dependency state at the window's end with the window's
     contributions. Callers pass contributions already identity-merged and
-    (normally) bot-filtered."""
-    snapshot = graph.timed_snapshot(window.end) if isinstance(graph, UniverseGraph) else graph
-    dep_edges = snapshot.package_dependency_edges()
+    (normally) bot-filtered. A live graph answers from its package
+    projection, indexed by time once per write and bisected per window; a
+    snapshot gives its own projection, computed once per snapshot."""
+    if isinstance(graph, UniverseGraph):
+        dep_edges = graph.package_dependency_edges(window.end)
+    else:
+        dep_edges = graph.package_dependency_edges()
     in_window = tuple(
         sorted(
             (c for c in contributions if window.contains(c.time)),
@@ -367,7 +371,9 @@ def congruent_contributions(g: DcGraph) -> list[CongruentPair]:
     One pair is reported per triple regardless of how many individual
     contributions landed on each side; the earliest contribution (by time,
     then id) represents each side. Pairs come ordered by (developer,
-    client, library).
+    client, library). The join probes ``g.dependency_edges`` with each
+    ordered pair of one developer's targets, so its cost follows the
+    window's contributions, not the size of the projection.
     """
     by_dev_target: dict[tuple[str, str], Contribution] = {}
     for c in g.contributions:
@@ -376,20 +382,19 @@ def congruent_contributions(g: DcGraph) -> list[CongruentPair]:
         if best is None or (c.time, c.id) < (best.time, best.id):
             by_dev_target[key] = c
 
-    libraries_of: dict[str, list[str]] = {}
-    for client, library in sorted(g.dependency_edges):
-        libraries_of.setdefault(client, []).append(library)
     targets_of: dict[str, list[str]] = {}
     for dev, target in by_dev_target:
         targets_of.setdefault(dev, []).append(target)
 
+    deps = g.dependency_edges
     pairs = []
     for dev in sorted(targets_of):
-        for client in sorted(targets_of[dev]):
+        targets = sorted(targets_of[dev])
+        for client in targets:
             c_client = by_dev_target[(dev, client)]
-            for library in libraries_of.get(client, ()):
-                c_library = by_dev_target.get((dev, library))
-                if c_library is not None:
+            for library in targets:
+                if (client, library) in deps:
+                    c_library = by_dev_target[(dev, library)]
                     pairs.append(
                         CongruentPair(
                             developer=dev,

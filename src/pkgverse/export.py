@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import json
-from operator import attrgetter
 from pathlib import Path
 
 from .contrib import CongruentPair, Window
@@ -34,19 +33,9 @@ def _xml_text(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def _sorted_parts(snapshot: TimedSnapshot):
-    """Units by handle, then use-edges and update-edges by (src, dst)."""
-    ends = attrgetter("src", "dst")
-    return (
-        sorted(snapshot.units, key=attrgetter("uid")),
-        sorted(snapshot.use_edges, key=ends),
-        sorted(snapshot.update_edges, key=ends),
-    )
-
-
 def snapshot_to_dot(snapshot: TimedSnapshot) -> str:
     """Graphviz document: solid arrows for use-edges, dashed for updates."""
-    units, use_edges, update_edges = _sorted_parts(snapshot)
+    units, use_edges, update_edges = snapshot._sorted_parts
     lines = ["digraph universe {"]
     for u in units:
         label = _dot_quote(f"{u.name}@{u.release}")
@@ -72,7 +61,7 @@ _GRAPHML_HEAD = (
 def snapshot_to_graphml(snapshot: TimedSnapshot) -> str:
     """GraphML document, indented two spaces per level; names and releases
     are escaped as XML text."""
-    units, use_edges, update_edges = _sorted_parts(snapshot)
+    units, use_edges, update_edges = snapshot._sorted_parts
     lines = list(_GRAPHML_HEAD)
     if not (units or use_edges or update_edges):
         lines.append('  <graph id="universe" edgedefault="directed" />')
@@ -109,7 +98,7 @@ def _json_list(items: list[str]) -> str:
 def snapshot_to_json(snapshot: TimedSnapshot) -> str:
     """What ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"`` writes,
     from templates: with ``indent`` set, json encodes in pure Python."""
-    units, use_edges, update_edges = _sorted_parts(snapshot)
+    units, use_edges, update_edges = snapshot._sorted_parts
     esc = json.encoder.encode_basestring_ascii
     return '{\n  "at": %s,\n  "units": %s,\n  "update_edges": %s,\n  "use_edges": %s\n}\n' % (
         json.dumps(snapshot.at),

@@ -12,9 +12,13 @@ immutable subgraph of everything released at or before an instant.
 Time index: an edge joins every snapshot from its activation time
 ``max(t_src, t_dst)`` on. The graph keeps units ordered by (time, handle)
 and edges by activation time, sorting once on the first snapshot after a
-write, so a snapshot is a bisected prefix. Snapshots build the lookup maps
-behind their read queries from their own fields on first query, and the
-queries themselves are shared with the live graph.
+write, so a snapshot is a bisected prefix. The first package projection
+after a write indexes each (client, library) pair at its first activation
+time, so the live graph's projection at any instant is a bisected prefix
+too, with no snapshot built; writes and replay do no extra work. Snapshots
+build the lookup maps behind their read queries, their package projection
+and their export order from their own fields on first use, once each, and
+the queries themselves are shared with the live graph.
 
 Structural rules enforced on every write:
 
@@ -128,14 +132,18 @@ class _Timeline:
         self.cols[1].append(value)
         self.is_sorted = False
 
-    def upto(self, at: int) -> frozenset:
-        """Every value whose time is at or before ``at``."""
+    def sorted_cols(self) -> tuple[list[int], list]:
+        """The columns in time order."""
         if not self.is_sorted:
             times, values = self.cols
             order = sorted(range(len(times)), key=times.__getitem__)
             self.cols = ([times[i] for i in order], [values[i] for i in order])
             self.is_sorted = True
-        times, values = self.cols
+        return self.cols
+
+    def upto(self, at: int) -> frozenset:
+        """Every value whose time is at or before ``at``."""
+        times, values = self.sorted_cols()
         return frozenset(values[: bisect_right(times, at)])
 
 
@@ -204,6 +212,8 @@ class UniverseGraph(_ReadQueries):
         self._unit_timeline = _Timeline()
         self._use_timeline = _Timeline()
         self._update_timeline = _Timeline()
+        # (use-edges indexed, first activation times, package pairs)
+        self._pair_index: tuple[int, list[int], list[tuple[str, str]]] = (0, [], [])
         #: use-edges accepted despite the target postdating the source
         self.anomalies: list[UseEdge] = []
 
@@ -302,6 +312,27 @@ class UniverseGraph(_ReadQueries):
             update_edges=self._update_timeline.upto(at),
         )
 
+    def package_dependency_edges(self, at: int | None = None) -> frozenset[tuple[str, str]]:
+        """Package projection of the use-edges active at ``at`` (of every
+        use-edge when None): ``self.timed_snapshot(at).package_dependency_edges()``
+        without building the snapshot."""
+        count, times, pairs = self._pair_index
+        if count != len(self._use_timeline.cols[0]):
+            count, times, pairs = self._pair_index = self._index_pairs()
+        return frozenset(pairs if at is None else pairs[: bisect_right(times, at)])
+
+    def _index_pairs(self) -> tuple[int, list[int], list[tuple[str, str]]]:
+        """Each package pair at the activation time of its first use-edge,
+        in time order, with the number of use-edges indexed."""
+        times, edges = self._use_timeline.sorted_cols()
+        units = self._units
+        first: dict[tuple[str, str], int] = {}
+        for t, e in zip(times, edges):
+            client, library = units[e.src].name, units[e.dst].name
+            if client != library:
+                first.setdefault((client, library), t)
+        return len(edges), list(first.values()), list(first)
+
     def _label(self, uid: int) -> str:
         u = self._units[uid]
         return f"{u.name}@{u.release}"
@@ -371,16 +402,31 @@ class TimedSnapshot(_ReadQueries):
                 return uid
         return None
 
+    @cached_property
+    def _package_edges(self) -> frozenset[tuple[str, str]]:
+        by_uid = self._by_uid
+        pairs = ((by_uid[e.src].name, by_uid[e.dst].name) for e in self.use_edges)
+        return frozenset((a, b) for a, b in pairs if a != b)
+
+    @cached_property
+    def _sorted_parts(self) -> tuple[list[SoftwareUnit], list[UseEdge], list[UpdateEdge]]:
+        """Units by handle, then use-edges and update-edges by (src, dst):
+        the order every export writes."""
+        ends = attrgetter("src", "dst")
+        return (
+            sorted(self.units, key=attrgetter("uid")),
+            sorted(self.use_edges, key=ends),
+            sorted(self.update_edges, key=ends),
+        )
+
     def package_dependency_edges(self) -> frozenset[tuple[str, str]]:
-        """Package-level projection of the use-edges.
+        """Package-level projection of the use-edges, computed once.
 
         Any use-edge between releases of two distinct names induces one
         (client, library) pair; edges between releases of the same name are
         not dependencies at package granularity and are dropped.
         """
-        by_uid = self._by_uid
-        pairs = ((by_uid[e.src].name, by_uid[e.dst].name) for e in self.use_edges)
-        return frozenset((a, b) for a, b in pairs if a != b)
+        return self._package_edges
 
     def is_subgraph_of(self, other: "TimedSnapshot") -> bool:
         return (

@@ -28,6 +28,13 @@ A version that carries a prerelease tag only matches a range when one of
 the comparators in the satisfied clause names the same major.minor.patch
 triple and itself carries a prerelease tag — so ``^1.2.3-rc.1`` admits
 ``1.2.3-rc.2`` but a plain ``~1.2.3`` never drags in ``1.3.0-beta``.
+
+Parsing is memoized per text: :func:`parse_version` and
+:meth:`VersionRange.parse` each keep the results for the 4096 most recently
+used texts (a bounded ``functools.lru_cache``), which is safe to share
+because versions, comparators and ranges are frozen. Type checks run before
+the memo, and failures are not kept, so a bad text raises on every call and
+:func:`resolve_version_range` warns about a non-semver label every time.
 """
 
 from __future__ import annotations
@@ -36,7 +43,7 @@ import operator
 import re
 import warnings
 from dataclasses import dataclass
-from functools import total_ordering
+from functools import lru_cache, total_ordering
 
 from .errors import NoMatchingVersion, VersionParseError
 
@@ -113,10 +120,20 @@ class Version:
         return s
 
 
+_MEMO_SIZE = 4096  # distinct texts each parse memo keeps
+
+
 def parse_version(text: str) -> Version:
     """Parse a strict semantic version; rejects leading ``v`` and partial
     versions like ``1.2``."""
-    m = _VERSION_RE.match(text.strip()) if isinstance(text, str) else None
+    if not isinstance(text, str):
+        raise VersionParseError(f"not a semantic version: {text!r}")
+    return _parse_version(text)
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _parse_version(text: str) -> Version:
+    m = _VERSION_RE.match(text.strip())
     if not m:
         raise VersionParseError(f"not a semantic version: {text!r}")
     pre = tuple(m.group("prerelease").split(".")) if m.group("prerelease") else ()
@@ -237,24 +254,7 @@ class VersionRange:
     def parse(cls, text: str) -> "VersionRange":
         if not isinstance(text, str):
             raise VersionParseError(f"range must be a string, got {type(text).__name__}")
-        clauses = []
-        for clause_text in text.split("||"):
-            clause_text = clause_text.strip()
-            parts = _HYPHEN_RE.split(clause_text)
-            if len(parts) > 2:
-                raise VersionParseError(f"malformed hyphen range: {clause_text!r}")
-            if len(parts) == 2:
-                low = _bounds(parts[0].strip())[0]
-                high, span, partial = _bounds(parts[1].strip())
-                comps = [_Comparator(">=", low)]
-                if span is not None:
-                    comps.append(_Comparator("<", span) if partial else _Comparator("<=", high))
-            else:
-                # "> 1.2.3" and ">1.2.3" are the same comparator
-                tokens = re.sub(r"([><=^~]+)\s+", r"\1", clause_text).split() or ["*"]
-                comps = [c for token in tokens for c in _desugar(token)]
-            clauses.append(tuple(comps))
-        return cls(clauses=tuple(clauses), raw=text)
+        return _parse_range(cls, text)
 
     def matches(self, version: Version) -> bool:
         """Pure predicate: does ``version`` satisfy this range?"""
@@ -284,6 +284,28 @@ class VersionRange:
 
     def __hash__(self):
         return hash(self._key())
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _parse_range(cls: type[VersionRange], text: str) -> VersionRange:
+    clauses = []
+    for clause_text in text.split("||"):
+        clause_text = clause_text.strip()
+        parts = _HYPHEN_RE.split(clause_text)
+        if len(parts) > 2:
+            raise VersionParseError(f"malformed hyphen range: {clause_text!r}")
+        if len(parts) == 2:
+            low = _bounds(parts[0].strip())[0]
+            high, span, partial = _bounds(parts[1].strip())
+            comps = [_Comparator(">=", low)]
+            if span is not None:
+                comps.append(_Comparator("<", span) if partial else _Comparator("<=", high))
+        else:
+            # "> 1.2.3" and ">1.2.3" are the same comparator
+            tokens = re.sub(r"([><=^~]+)\s+", r"\1", clause_text).split() or ["*"]
+            comps = [c for token in tokens for c in _desugar(token)]
+        clauses.append(tuple(comps))
+    return cls(clauses=tuple(clauses), raw=text)
 
 
 def resolve_version_range(

@@ -352,6 +352,25 @@ class TestCongruence:
         assert main(["congruence", "--log", str(app_log), "--contributions",
                      str(contributions_file), "--bot-threshold", "1.5"]) == 1
 
+    @pytest.mark.parametrize("bounds", [
+        ["--window-start", "2020-01-01", "--window-end", "2019-01-01"],
+        ["--window-start", "2020-01-01", "--window-end", "2020-01-01"],
+        ["--window-start", "1970-01-02"],  # after the last contribution (t=30)
+    ])
+    def test_empty_or_inverted_range_exits_1_with_one_error_line(self, app_log, contributions_file, bounds):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])
+        ))
+        proc = subprocess.run(
+            [sys.executable, "-m", "pkgverse", "congruence", "--log", str(app_log),
+             "--contributions", str(contributions_file), *bounds],
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stdout == ""
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("error: ") and "empty range" in line
+
 
 class TestSample:
     def test_fixture_breakage(self, universe_log, capsys):

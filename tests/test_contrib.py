@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pkgverse.contrib import (
+    CongruentPair,
     Contribution,
     DcGraph,
     build_dc_graph,
@@ -17,7 +18,45 @@ from pkgverse.errors import ConflictingAlias, InvalidRange
 from pkgverse.fixtures import bot_benchmark, client_library_fixture
 from pkgverse.graph import UniverseGraph
 
+from conftest import random_universe
 from oracles import congruence_brute_force
+
+
+def sorted_edges_congruence(g: DcGraph) -> list[CongruentPair]:
+    """Reference join: every dependency edge sorted and grouped by client,
+    then each developer's targets walked in order against those lists."""
+    by_dev_target: dict[tuple[str, str], Contribution] = {}
+    for c in g.contributions:
+        key = (c.developer, c.target)
+        best = by_dev_target.get(key)
+        if best is None or (c.time, c.id) < (best.time, best.id):
+            by_dev_target[key] = c
+
+    libraries_of: dict[str, list[str]] = {}
+    for client, library in sorted(g.dependency_edges):
+        libraries_of.setdefault(client, []).append(library)
+    targets_of: dict[str, list[str]] = {}
+    for dev, target in by_dev_target:
+        targets_of.setdefault(dev, []).append(target)
+
+    pairs = []
+    for dev in sorted(targets_of):
+        for client in sorted(targets_of[dev]):
+            c_client = by_dev_target[(dev, client)]
+            for library in libraries_of.get(client, ()):
+                c_library = by_dev_target.get((dev, library))
+                if c_library is not None:
+                    pairs.append(CongruentPair(dev, client, library, c_client.id, c_library.id))
+    return pairs
+
+
+def dc_graph(edges, contribs, window=Window(0, 100)) -> DcGraph:
+    return DcGraph(
+        window=window,
+        dependency_edges=frozenset(edges),
+        contributions=tuple(contribs),
+        contribution_edges=frozenset((c.developer, c.target) for c in contribs),
+    )
 
 
 class TestMergeIdentities:
@@ -214,6 +253,24 @@ class TestDcGraph:
         assert len(dc.contributions) == expected
         assert all(window.contains(c.time) for c in dc.contributions)
 
+    @settings(deadline=None, max_examples=100)
+    @given(
+        rnd=st.randoms(use_true_random=False),
+        n_units=st.integers(1, 30),
+        start=st.integers(-5, 20),
+        length=st.integers(1, 50),
+        width=st.integers(1, 20),
+    )
+    def test_live_graph_equals_snapshot_at_each_window_end(self, rnd, n_units, start, length, width):
+        g = random_universe(rnd, n_units)
+        targets = sorted(g.names()) + ["unknown"]
+        contribs = [
+            Contribution(f"c{i}", f"dev{rnd.randrange(3)}", rnd.choice(targets), "issue", rnd.randint(-5, 60))
+            for i in range(rnd.randint(0, 40))
+        ]
+        for w in window_partition(start, start + length, width):
+            assert build_dc_graph(g, contribs, w) == build_dc_graph(g.timed_snapshot(w.end), contribs, w)
+
     def test_dependency_edges_come_from_window_end_snapshot(self):
         g = UniverseGraph()
         a = g.add_unit("a", "1", 10)
@@ -339,6 +396,50 @@ class TestCongruence:
         assert set(rows) == congruence_brute_force(edges, contribs)
         keys = [row[:3] for row in rows]
         assert keys == sorted(set(keys))
+
+
+    @settings(deadline=None, max_examples=300)
+    @given(
+        edges=st.sets(st.tuples(st.sampled_from("abcdef"), st.sampled_from("abcdef"))),
+        raw=st.lists(
+            st.tuples(
+                st.sampled_from(["c0", "c1", "c2", "c3"]),
+                st.sampled_from(["dev0", "dev1", "dev2"]),
+                st.sampled_from("abcdefg"),
+                st.integers(min_value=1, max_value=4),
+            ),
+            max_size=40,
+        ),
+    )
+    def test_equals_sorted_edges_reference(self, edges, raw):
+        # same-name edges, repeated ids and time ties included
+        contribs = [Contribution(cid, dev, target, "issue", t) for cid, dev, target, t in raw]
+        dc = dc_graph(edges, contribs)
+        assert congruent_contributions(dc) == sorted_edges_congruence(dc)
+
+    def test_developer_on_1000_packages_equals_sorted_edges_reference(self, rng):
+        packages = [f"pkg{i:04d}" for i in range(1000)]
+        edges = {(rng.choice(packages), rng.choice(packages)) for _ in range(5000)}
+        contribs = [Contribution(f"p{i}", "prolific", p, "pr", rng.randint(1, 100), merged=True)
+                    for i, p in enumerate(packages)]
+        contribs += [Contribution(f"o{i}", f"dev{i % 7}", rng.choice(packages), "issue", rng.randint(1, 100))
+                     for i in range(200)]
+        dc = dc_graph(edges, contribs)
+        pairs = congruent_contributions(dc)
+        assert pairs == sorted_edges_congruence(dc)
+        assert sum(p.developer == "prolific" for p in pairs) == len(edges)  # touched every package
+
+    def test_join_probes_the_projection_without_iterating_it(self):
+        class ProbeOnly(frozenset):
+            def __iter__(self):
+                raise AssertionError("the join iterated the whole projection")
+
+        _, contribs = client_library_fixture()
+        dc = dc_graph(ProbeOnly({("app", "parser"), ("app", "utils"), ("parser", "utils")}), contribs)
+        assert [(p.developer, p.client, p.library) for p in congruent_contributions(dc)] == [
+            ("alice", "app", "parser"),
+            ("bob", "app", "utils"),
+        ]
 
 
 class TestFilterContributions:

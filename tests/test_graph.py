@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pkgverse.errors import (
     BranchingUpdate,
@@ -235,6 +236,58 @@ class TestTimeIndex:
                     t0, step_t = rng.randrange(-1, 10), rng.randrange(1, 12)
                     series = snapshot_series(g, t0, 55, step_t)
                     assert series == [brute_snapshot(g, t) for t in range(t0, 56, step_t)]
+
+
+# a write or query script: add a unit (name, time), add a use-edge between
+# two existing units (picked modulo the unit count), or project at a time
+_graph_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("unit"), st.integers(0, 3), st.integers(0, 8)),
+        st.tuples(st.just("use"), st.integers(0, 60), st.integers(0, 60)),
+        st.tuples(st.just("query"), st.none() | st.integers(-1, 9), st.none()),
+    ),
+    max_size=80,
+)
+
+
+class TestPackageProjection:
+    @settings(deadline=None, max_examples=300)
+    @given(ops=_graph_ops)
+    def test_live_projection_equals_snapshot_projection(self, ops):
+        # few names make same-name edges, few times make ties, and
+        # arbitrary endpoints make edges whose target postdates the source
+        g = UniverseGraph()
+        for kind, a, b in ops:
+            n = g.unit_count()
+            if kind == "unit":
+                g.add_unit(f"p{a}", str(n), b)
+            elif kind == "use" and n:
+                try:
+                    g.add_use_edge(a % n, b % n)
+                except (SelfLoop, ParallelEdge):
+                    pass
+            elif kind == "query":
+                latest = max((u.time for u in g.units), default=0)
+                snap = g.timed_snapshot(latest if a is None else a)
+                assert g.package_dependency_edges(a) == snap.package_dependency_edges()
+        for t in range(-1, 10):
+            assert g.package_dependency_edges(t) == brute_snapshot(g, t).package_dependency_edges()
+
+    def test_index_follows_writes_between_queries(self):
+        g = UniverseGraph()
+        a, b = g.add_unit("a", "1", 5), g.add_unit("b", "1", 3)
+        assert g.package_dependency_edges() == frozenset()
+        g.add_use_edge(a, b)
+        assert g.package_dependency_edges(4) == frozenset()
+        assert g.package_dependency_edges(5) == {("a", "b")}
+        c = g.add_unit("c", "1", 1)
+        g.add_use_edge(c, b)  # an anomaly: active from b's time, 3
+        assert g.package_dependency_edges(3) == {("c", "b")}
+        assert g.package_dependency_edges() == {("a", "b"), ("c", "b")}
+
+    def test_snapshot_projects_once(self, rng):
+        snap = random_universe(rng, 30).timed_snapshot(40)
+        assert snap.package_dependency_edges() is snap.package_dependency_edges()
 
 
 class TestDiff:

@@ -3,6 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
+from pkgverse import semver
 from pkgverse.errors import NoMatchingVersion, VersionParseError
 from pkgverse.semver import (
     NonSemverRelease,
@@ -220,3 +221,76 @@ def test_version_digits_are_ascii(bad):
 def test_range_parts_follow_the_version_grammar(bad):
     with pytest.raises(VersionParseError):
         VersionRange.parse(bad)
+
+
+# texts near the grammar's edges, valid and not, for both parsers
+_version_text = st.builds(
+    "{}.{}.{}{}{}".format,
+    st.sampled_from(["0", "1", "01", "12", "x"]),
+    st.sampled_from(["0", "2", "02"]),
+    st.sampled_from(["0", "3", "x", ""]),
+    st.sampled_from(["", "-rc.1", "-alpha.beta", "-01", "-rc..1"]),
+    st.sampled_from(["", "+b.5", "+b..5"]),
+)
+_range_text = st.one_of(
+    st.builds("{}{}".format, st.sampled_from(["", "^", "~", ">", ">=", "<", "<=", "=", "> "]), _version_text),
+    st.builds("{} - {}".format, _version_text, _version_text),
+    st.builds("{} || {}".format, _version_text, _version_text),
+    st.text(alphabet="0123456789.^~<>=*xX -|+a", max_size=12),
+)
+
+
+def _parsed(parse, text):
+    try:
+        return repr(parse(text))
+    except VersionParseError as exc:
+        return exc.args
+
+
+class TestParseMemo:
+    @given(text=_version_text)
+    def test_memoized_version_parse_equals_uncached(self, text):
+        uncached = _parsed(semver._parse_version.__wrapped__, text)
+        assert _parsed(parse_version, text) == uncached
+        assert _parsed(parse_version, text) == uncached
+
+    @given(text=_range_text)
+    def test_memoized_range_parse_equals_uncached(self, text):
+        uncached = _parsed(lambda t: semver._parse_range.__wrapped__(VersionRange, t), text)
+        assert _parsed(VersionRange.parse, text) == uncached
+        assert _parsed(VersionRange.parse, text) == uncached
+
+    def test_a_text_is_parsed_once(self):
+        assert parse_version("4.5.6-rc.1+b") is parse_version("4.5.6-rc.1+b")
+        assert VersionRange.parse("^4.5.6 || 7.x") is VersionRange.parse("^4.5.6 || 7.x")
+
+    def test_range_memo_is_keyed_by_class(self):
+        class Pinned(VersionRange):
+            pass
+
+        assert type(VersionRange.parse("^1.2.3")) is VersionRange
+        assert type(Pinned.parse("^1.2.3")) is Pinned
+
+    def test_bad_texts_raise_on_every_call(self):
+        for _ in range(3):
+            with pytest.raises(VersionParseError):
+                parse_version("1.02.3")
+            with pytest.raises(VersionParseError):
+                VersionRange.parse("banana!")
+
+    def test_non_semver_label_warns_on_every_call(self):
+        for _ in range(3):
+            with pytest.warns(NonSemverRelease):
+                assert resolve_version_range("*", ["1.0.0", "2013-alpha-SNAPSHOT"]) == Version(1, 0, 0)
+
+    def test_non_strings_raise_parse_errors(self):
+        with pytest.raises(VersionParseError):
+            parse_version(None)
+        with pytest.raises(VersionParseError):
+            VersionRange.parse(1)
+        with pytest.raises(VersionParseError):
+            parse_version(["1.2.3"])  # unhashable: rejected before the memo
+
+    def test_memos_are_bounded(self):
+        for memo in (semver._parse_version, semver._parse_range):
+            assert 0 < memo.cache_info().maxsize < 100_000
