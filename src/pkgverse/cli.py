@@ -25,7 +25,7 @@ import io
 import json
 import sys
 from collections import Counter
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import export
@@ -111,10 +111,22 @@ def _exit_code(*quarantines) -> int:
     return EXIT_QUARANTINED if any(quarantines) else EXIT_OK
 
 
+def _column_map(columns: str | None) -> ColumnMap | None:
+    """The ``--columns`` list as a ColumnMap: its names replace the leading
+    defaults, in ColumnMap's field order."""
+    if not columns:
+        return None
+    names = columns.split(",")
+    limit = len(fields(ColumnMap))
+    if len(names) > limit:
+        raise PkgverseError(f"--columns takes at most {limit} names, got {len(names)}")
+    return ColumnMap(*names)
+
+
 def _load_contribution_file(path) -> tuple[list[Contribution], list[Quarantined]]:
     contributions: list[Contribution] = []
     quarantined: list[Quarantined] = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for item in parse_contribution_events(fh, source=str(path)):
             if isinstance(item, Quarantined):
                 quarantined.append(item)
@@ -143,15 +155,15 @@ def cmd_ingest(args) -> int:
             path = Path(path)
             if args.kind == "manifest":
                 manifest = parse_manifest(
-                    path.read_text(encoding="utf-8"),
+                    path.read_text(encoding="utf-8-sig"),
                     sections=("dependencies", "devDependencies") if args.include_dev else ("dependencies",),
                 )
                 time = args.time if args.time is not None else 0
                 log.append_events(good(manifest_events(manifest, time)))
                 continue
-            with path.open(encoding="utf-8", newline="") as fh:
+            with path.open(encoding="utf-8-sig", newline="") as fh:  # -sig: drop a leading BOM
                 if args.kind == "dump":
-                    mapping = ColumnMap(*args.columns.split(",")) if args.columns else None
+                    mapping = _column_map(args.columns)
                     stream = parse_registry_dump(fh, mapping, source=str(path))
                 else:
                     stream = parse_contribution_events(fh, source=str(path))
@@ -368,8 +380,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = commands.add_parser("ingest", help="parse raw inputs and append events to the log")
     p.add_argument("inputs", nargs="+", help="input files")
     p.add_argument("--kind", required=True, choices=("manifest", "dump", "contributions"))
-    p.add_argument("--columns", help="comma-separated dump column names "
-                                     "(platform,name,version,released_at,dep_name,dep_requirement)")
+    p.add_argument("--columns", help="comma-separated dump column names, in the order "
+                                     "platform,name,version,released_at,dep_name,dep_requirement; "
+                                     "a shorter list overrides the leading ones and keeps the rest")
     p.add_argument("--include-dev", action="store_true", help="also ingest devDependencies")
     p.add_argument("--time", type=int, help="release time for manifest ingests (epoch seconds)")
     _common_flags(p)

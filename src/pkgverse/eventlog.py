@@ -9,7 +9,7 @@ replay; a committed line that is not a JSON object means the *file* is
 damaged and raises :class:`CorruptLog`.
 
 The wire schema (``v: 1``) is declared once, in the :data:`SCHEMA` table,
-and everything that reads or writes events derives from it; one event per line::
+and everything that reads or writes log lines derives from it; one event per line::
 
     {"v":1,"seq":1,"kind":"unit","name":"a","release":"1.0.0","time":100}
     {"v":1,"seq":2,"kind":"use","from":["a","1.0.0"],"to":["b","2.0.0"]}
@@ -41,13 +41,14 @@ append writes the missing newline first.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import CorruptLog, PkgverseError, SchemaError, TornTail, UnknownUnit
 from .graph import UniverseGraph
@@ -76,9 +77,11 @@ _CHUNK_CHARS = 1 << 16
 _TAIL_BLOCK = 1 << 13
 
 
-@dataclass(frozen=True)
-class EcosystemEvent:
-    """One validated event; the log assigns its ``seq`` on append."""
+class EcosystemEvent(NamedTuple):
+    """One event: its kind and its payload, checked against :data:`SCHEMA`
+    when appended; the log assigns its ``seq``. A named tuple, so it is
+    immutable, builds positionally or by keyword, and compares equal to a
+    plain ``(kind, payload)`` tuple. The payload dict itself is mutable."""
 
     kind: str
     payload: dict
@@ -136,8 +139,9 @@ _CTYPE = _Shape("one of " + ", ".join(CONTRIBUTION_TYPES),
                 b'"(%s)"' % b"|".join(t.encode() for t in CONTRIBUTION_TYPES), bytes.decode)
 
 # The wire schema: each kind's fields in line order, with their shapes. Every
-# field is required. Validation, the line templates, the line regex, the event
-# constructors and replay all read this table.
+# field is required. Validation, the line templates, the line regex and replay
+# read this table; the event constructors spell its keys out, in its order (a
+# test holds them to it).
 SCHEMA = {
     "unit": (("name", _TEXT), ("release", _TEXT), ("time", _INT)),
     "use": (("from", _REF), ("to", _REF)),
@@ -245,28 +249,33 @@ def _lines_backwards(fh, end: int):
 
 
 # --- convenience constructors ------------------------------------------------
+# Each builds a fresh payload dict with SCHEMA's keys in SCHEMA's order, and
+# the event through tuple.__new__, which skips the Python-level __new__ that
+# NamedTuple generates (about half the cost of building an event).
+_event = functools.partial(tuple.__new__, EcosystemEvent)
+
 
 def unit_event(name: str, release: str, time: int) -> EcosystemEvent:
-    return EcosystemEvent("unit", dict(zip(_FIELDS["unit"], (name, release, int(time)))))
+    return _event(("unit", {"name": name, "release": release, "time": int(time)}))
 
 
 def use_event(src: tuple[str, str], dst: tuple[str, str]) -> EcosystemEvent:
-    return EcosystemEvent("use", dict(zip(_FIELDS["use"], (list(src), list(dst)))))
+    return _event(("use", {"from": list(src), "to": list(dst)}))
 
 
 def update_event(src: tuple[str, str], dst: tuple[str, str]) -> EcosystemEvent:
-    return EcosystemEvent("update", dict(zip(_FIELDS["update"], (list(src), list(dst)))))
+    return _event(("update", {"from": list(src), "to": list(dst)}))
 
 
 def contribution_event(
     cid: str, dev: str, target: str, ctype: str, time: int, merged: bool = False
 ) -> EcosystemEvent:
-    values = (cid, dev, [target], ctype, int(time), bool(merged))
-    return EcosystemEvent("contribution", dict(zip(_FIELDS["contribution"], values)))
+    payload = {"id": cid, "dev": dev, "target": [target], "ctype": ctype, "time": int(time), "merged": bool(merged)}
+    return _event(("contribution", payload))
 
 
 def alias_event(canonical: str, alias: str) -> EcosystemEvent:
-    return EcosystemEvent("developer-alias", dict(zip(_FIELDS["developer-alias"], (canonical, alias))))
+    return _event(("developer-alias", {"canonical": canonical, "alias": alias}))
 
 
 class EventLog:

@@ -78,10 +78,11 @@ def parse_timestamp(value) -> int:
         text = value.strip()
         if not text:
             raise InvalidTimestamp("empty timestamp")
-        try:
-            return int(text)
-        except ValueError:
-            pass
+        if not text.endswith((" UTC", "Z", "z")):  # int() rejects these, and its failure is slow
+            try:
+                return int(text)
+            except ValueError:
+                pass
         if text.endswith(" UTC"):  # registry-dump style: 2015-03-17 22:05:49 UTC
             text = text[:-4]
         if text.endswith(("Z", "z")):
@@ -207,44 +208,53 @@ def parse_registry_dump(reader, mapping: ColumnMap | None = None, source: str = 
     Every row bearing a new (name, version) yields a unit event; every row
     with a dependency column yields a use event. Consecutive rows for the
     same (name, version) — the usual layout for multi-dependency packages —
-    emit the unit once. Rows with an unparsable timestamp are yielded as
-    :class:`Quarantined` items. Raises :class:`CsvError` on structurally
-    broken CSV (e.g. no header).
+    emit the unit once. Blank lines are skipped. Rows with an unparsable
+    timestamp or a missing name or version, and rows longer than the header,
+    are yielded as :class:`Quarantined` items; a shorter row reads its
+    missing cells as empty. Raises :class:`CsvError` when there is no header
+    or it lacks a required column.
+
+    Rows are numbered from 2, counting the non-blank ones, so a quoted field
+    with a newline does not shift the numbers of later rows.
     """
     mapping = mapping or ColumnMap()
-    rows = csv.DictReader(reader)
-    if rows.fieldnames is None:
+    rows = filter(None, csv.reader(reader))  # a blank line reads as []
+    header = next(rows, None)
+    if header is None:
         raise CsvError(f"{source}: empty file, expected a header row")
-    required = (mapping.name, mapping.version, mapping.released_at)
-    for column in required:
-        if column not in rows.fieldnames:
+    index = {column: i for i, column in enumerate(header)}  # a repeated name reads its last cell
+    for column in (mapping.name, mapping.version, mapping.released_at):
+        if column not in index:
             raise CsvError(f"{source}: missing column {column!r}")
-    has_deps = mapping.dep_name in rows.fieldnames
-    previous_key = None
+    at_name, at_version, at_time = index[mapping.name], index[mapping.version], index[mapping.released_at]
+    at_dep, at_requirement = index.get(mapping.dep_name), index.get(mapping.dep_requirement)
+    width = len(header)
+    previous_name = previous_version = None
     for row_no, row in enumerate(rows, start=2):
-        if None in row:
-            yield Quarantined(source, row_no, "CsvError", f"row has extra fields: {row[None]!r}")
-            continue
-        name = (row.get(mapping.name) or "").strip()
-        version = (row.get(mapping.version) or "").strip()
+        if len(row) != width:
+            if len(row) > width:
+                yield Quarantined(source, row_no, "CsvError", f"row has extra fields: {row[width:]!r}")
+                continue
+            row += [None] * (width - len(row))  # missing cells read as None
+        name = (row[at_name] or "").strip()
+        version = (row[at_version] or "").strip()
         if not name or not version:
-            yield Quarantined(source, row_no, "MissingField", dict(row))
+            yield Quarantined(source, row_no, "MissingField", dict(zip(header, row)))
             continue
-        key = (name, version)
-        if key != previous_key:
+        if name != previous_name or version != previous_version:
             try:
-                time = parse_timestamp(row.get(mapping.released_at, ""))
-            except InvalidTimestamp as exc:
-                yield Quarantined(source, row_no, "InvalidTimestamp", dict(row))
-                previous_key = None
+                time = parse_timestamp(row[at_time])
+            except InvalidTimestamp:
+                yield Quarantined(source, row_no, "InvalidTimestamp", dict(zip(header, row)))
+                previous_name = None
                 continue
             yield unit_event(name, version, time)
-            previous_key = key
-        if has_deps:
-            dep_name = (row.get(mapping.dep_name) or "").strip()
+            previous_name, previous_version = name, version
+        if at_dep is not None:
+            dep_name = (row[at_dep] or "").strip()
             if dep_name:
-                requirement = (row.get(mapping.dep_requirement) or "").strip() or "*"
-                yield use_event((name, version), (dep_name, requirement))
+                requirement = (row[at_requirement] or "").strip() if at_requirement is not None else ""
+                yield use_event((name, version), (dep_name, requirement or "*"))
 
 
 # --- contribution records --------------------------------------------------------
@@ -303,7 +313,7 @@ def parse_contribution_events(reader, source: str = "<contributions>"):
         title = record.get("title")
         if isinstance(title, str) and title:
             # in-memory enrichment only; append() writes schema fields alone
-            event = EcosystemEvent(event.kind, {**event.payload, "title": title})
+            event.payload["title"] = title
         yield event
 
 

@@ -43,7 +43,7 @@ import operator
 import re
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache, total_ordering
+from functools import lru_cache
 
 from .errors import NoMatchingVersion, VersionParseError
 
@@ -79,37 +79,43 @@ def _identifier_key(ident: str):
     return (1, 0, ident)
 
 
-@total_ordering
 @dataclass(frozen=True)
 class Version:
+    """A semantic version. Its precedence key is computed once, at
+    construction, and every comparison and the hash read it."""
+
     major: int
     minor: int
     patch: int
     prerelease: tuple[str, ...] = ()
     build: tuple[str, ...] = ()
 
+    def __post_init__(self):
+        # build metadata is ignored in precedence
+        pre = (0, tuple(map(_identifier_key, self.prerelease))) if self.prerelease else (1, ())
+        object.__setattr__(self, "_key", (self.major, self.minor, self.patch, pre))
+
     @property
     def triple(self) -> tuple[int, int, int]:
         return (self.major, self.minor, self.patch)
 
-    def _key(self):
-        if self.prerelease:
-            pre = (0, tuple(_identifier_key(p) for p in self.prerelease))
-        else:
-            pre = (1, ())
-        return (self.major, self.minor, self.patch, pre)
-
-    def __lt__(self, other: "Version") -> bool:
-        return self._key() < other._key()
-
     def __eq__(self, other) -> bool:
-        if not isinstance(other, Version):
-            return NotImplemented
-        # build metadata is ignored in precedence
-        return self._key() == other._key()
+        return self._key == other._key if isinstance(other, Version) else NotImplemented
+
+    def __lt__(self, other) -> bool:
+        return self._key < other._key if isinstance(other, Version) else NotImplemented
+
+    def __le__(self, other) -> bool:
+        return self._key <= other._key if isinstance(other, Version) else NotImplemented
+
+    def __gt__(self, other) -> bool:
+        return self._key > other._key if isinstance(other, Version) else NotImplemented
+
+    def __ge__(self, other) -> bool:
+        return self._key >= other._key if isinstance(other, Version) else NotImplemented
 
     def __hash__(self):
-        return hash(self._key())
+        return hash(self._key)
 
     def __str__(self) -> str:
         s = f"{self.major}.{self.minor}.{self.patch}"

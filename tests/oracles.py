@@ -7,10 +7,14 @@ paths under test.
 
 from __future__ import annotations
 
+import csv
+
 import networkx as nx
 
-from pkgverse.errors import SchemaError
+from pkgverse.errors import CsvError, InvalidTimestamp, SchemaError
+from pkgverse.eventlog import unit_event, use_event
 from pkgverse.graph import TimedSnapshot, UniverseGraph
+from pkgverse.ingest import ColumnMap, Quarantined, parse_timestamp
 
 
 def edge_scan_out(g, uid: int) -> set[int]:
@@ -319,3 +323,46 @@ def reference_validate_payload(kind: str, payload: dict) -> dict:
     if not canonical or not alias:
         raise SchemaError("canonical and alias must be non-empty")
     return {"canonical": canonical, "alias": alias}
+
+
+# --- registry dumps ------------------------------------------------------------
+# A frozen copy of parse_registry_dump as it read rows through csv.DictReader,
+# one dict per row. DictReader takes a blank first line for an empty header;
+# callers drop leading blank lines first.
+
+
+def reference_parse_registry_dump(reader, mapping: ColumnMap | None = None, source: str = "<dump>"):
+    mapping = mapping or ColumnMap()
+    rows = csv.DictReader(reader)
+    if rows.fieldnames is None:
+        raise CsvError(f"{source}: empty file, expected a header row")
+    required = (mapping.name, mapping.version, mapping.released_at)
+    for column in required:
+        if column not in rows.fieldnames:
+            raise CsvError(f"{source}: missing column {column!r}")
+    has_deps = mapping.dep_name in rows.fieldnames
+    previous_key = None
+    for row_no, row in enumerate(rows, start=2):
+        if None in row:
+            yield Quarantined(source, row_no, "CsvError", f"row has extra fields: {row[None]!r}")
+            continue
+        name = (row.get(mapping.name) or "").strip()
+        version = (row.get(mapping.version) or "").strip()
+        if not name or not version:
+            yield Quarantined(source, row_no, "MissingField", dict(row))
+            continue
+        key = (name, version)
+        if key != previous_key:
+            try:
+                time = parse_timestamp(row.get(mapping.released_at, ""))
+            except InvalidTimestamp:
+                yield Quarantined(source, row_no, "InvalidTimestamp", dict(row))
+                previous_key = None
+                continue
+            yield unit_event(name, version, time)
+            previous_key = key
+        if has_deps:
+            dep_name = (row.get(mapping.dep_name) or "").strip()
+            if dep_name:
+                requirement = (row.get(mapping.dep_requirement) or "").strip() or "*"
+                yield use_event((name, version), (dep_name, requirement))

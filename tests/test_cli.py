@@ -144,6 +144,40 @@ class TestIngest:
         [entry] = map(json.loads, (tmp_path / "log.ndjson.quarantine.ndjson").read_text().splitlines())
         assert (entry["line"], entry["reason"]) == (2, "InvalidTimestamp")
 
+    def test_more_than_six_columns_exits_1_with_one_error_line(self, tmp_path, capsys):
+        dump = tmp_path / "d.csv"
+        dump.write_text("a,b,c,d,e,f,g\n")
+        log = tmp_path / "log.ndjson"
+        code = main(["ingest", str(dump), "--kind", "dump", "--columns", "a,b,c,d,e,f,g", "--log", str(log)])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert err == ["error: --columns takes at most 6 names, got 7"]
+        assert not log.exists()
+
+    def test_short_column_list_overrides_the_leading_columns(self, tmp_path):
+        dump = tmp_path / "d.csv"
+        dump.write_text("plat,pkg,version,released_at,dep_name,dep_requirement\nnpm,app,1.0.0,5,lib,^1.0.0\n")
+        log = tmp_path / "log.ndjson"
+        assert main(["ingest", str(dump), "--kind", "dump", "--columns", "plat,pkg", "--log", str(log)]) == 0
+        lines = [json.loads(line) for line in log.read_text().splitlines()]
+        assert [(r["kind"], r.get("name"), r.get("to")) for r in lines] == [
+            ("unit", "app", None), ("use", None, ["lib", "^1.0.0"]),
+        ]
+
+    @pytest.mark.parametrize("kind", ["dump", "contributions", "manifest"])
+    def test_utf8_bom_is_dropped(self, tmp_path, kind):
+        text = {
+            "dump": "name,version,released_at\napp,1.0.0,5\n",
+            "contributions": '{"id": "c1", "author": "alice", "target": "app", "type": "pr", "time": 5}\n',
+            "manifest": '{"name": "app", "version": "1.0.0"}',
+        }[kind]
+        source = tmp_path / "bom.txt"
+        source.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        log = tmp_path / "log.ndjson"
+        assert main(["ingest", str(source), "--kind", kind, "--log", str(log), "--time", "5"]) == 0
+        [line] = log.read_text().splitlines()
+        assert json.loads(line)["time"] == 5
+
     def test_100k_row_dump_summary_matches_line_count(self, tmp_path, capsys):
         rows = ["platform,name,version,released_at,dep_name,dep_requirement"]
         for i in range(100_000):

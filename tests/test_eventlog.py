@@ -13,6 +13,7 @@ from pkgverse import eventlog
 from pkgverse.errors import CorruptLog, SchemaError
 from pkgverse.eventlog import (
     CONTRIBUTION_TYPES,
+    EcosystemEvent,
     EventLog,
     alias_event,
     contribution_event,
@@ -528,6 +529,34 @@ class TestSchemaTable:
         assert [type(v) for v in got.values()] == [type(v) for v in expected.values()]
         record = {"v": 1, "seq": 7, "kind": kind, **expected}
         assert eventlog._line(7, kind, payload) == json.dumps(record, separators=(",", ":")) + "\n"
+
+    def test_constructor_payload_keys_follow_the_table(self):
+        events = [
+            unit_event("a", "1", 10),
+            use_event(("a", "1"), ("b", "2")),
+            update_event(("a", "1"), ("a", "2")),
+            contribution_event("c1", "alice", "a", "pr", 10, True),
+            alias_event("alice", "a.jones"),
+        ]
+        assert [e.kind for e in events] == list(eventlog.SCHEMA)
+        for e in events:
+            assert tuple(e.payload) == eventlog._FIELDS[e.kind]
+            assert validate_payload(e.kind, e.payload) == e.payload
+
+
+class TestEcosystemEvent:
+    def test_rejects_attribute_assignment(self):
+        event = unit_event("a", "1", 10)
+        for name in ("kind", "payload", "seq"):
+            with pytest.raises(AttributeError):
+                setattr(event, name, "use")
+        assert event.kind == "unit"
+
+    def test_builds_positionally_or_by_keyword_and_equals_its_tuple(self):
+        payload = {"canonical": "alice", "alias": "a.jones"}
+        event = EcosystemEvent("developer-alias", payload)
+        assert event == EcosystemEvent(kind="developer-alias", payload=payload) == ("developer-alias", payload)
+        assert (event.kind, event.payload) == tuple(event)
 
 
 # Replay reads canonical lines with one regex and every other line as JSON;

@@ -1,7 +1,10 @@
+import csv
 import io
+import itertools
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pkgverse.errors import CsvError, InvalidTimestamp, MissingField, ParseError
 from pkgverse.ingest import (
@@ -17,6 +20,8 @@ from pkgverse.ingest import (
     registry_info,
 )
 from pkgverse.semver import VersionRange
+
+from oracles import reference_parse_registry_dump
 
 
 class TestParseTimestamp:
@@ -112,6 +117,37 @@ def run_dump(text, mapping=None):
     return events, quarantined
 
 
+_MAPPINGS = [
+    ColumnMap(),
+    ColumnMap("Platform", "Project Name", "Version Number", "Created", "Dep", "Req"),
+]
+# one-letter columns, so short random texts hit them
+_RAW_MAPPINGS = [ColumnMap("p", "a", "b", "1", "ab", "a1"), ColumnMap("p", "a", "a", "b", "1")]
+_CELL = st.sampled_from([
+    "", " ", "npm", "app", " lib ", "1.0.0", "2.0.0", "^1.0.0", "100", "never", "2015-03-17 22:05:49 UTC",
+    "a\nb", "x,y", 'q"uote', "name", "version",
+])
+
+
+def _outcome(parse):
+    """Everything a parse yields, then the error that ends it, if any."""
+    items = []
+    try:
+        items.extend(parse())
+    except (CsvError, csv.Error) as exc:
+        return items, repr(exc)
+    return items, None
+
+
+def _dump_outcome(text, mapping):
+    return _outcome(lambda: parse_registry_dump(io.StringIO(text, newline=""), mapping))
+
+
+def _reference_outcome(text, mapping):
+    lines = itertools.dropwhile(lambda line: line in ("\n", "\r", "\r\n"), io.StringIO(text, newline=""))
+    return _outcome(lambda: reference_parse_registry_dump(lines, mapping))
+
+
 class TestParseRegistryDump:
     def test_two_row_fixture(self):
         text = DUMP_HEADER + "npm,app,1.0.0,100,lib,1.0.0\nnpm,lib,1.0.0,50,,\n"
@@ -170,6 +206,66 @@ class TestParseRegistryDump:
         assert not quarantined
         assert sum(1 for e in events if e.kind == "unit") == line_count
         assert sum(1 for e in events if e.kind == "use") == line_count
+
+    def test_blank_lines_are_skipped_and_not_counted(self):
+        text = "\n\r\n" + DUMP_HEADER + "\n" + "npm,app,1.0.0,oops,,\n\n" + "npm,lib,,50,,\n"
+        events, quarantined = run_dump(text)
+        assert events == []
+        assert [(q.line_no, q.reason) for q in quarantined] == [(2, "InvalidTimestamp"), (3, "MissingField")]
+
+    def test_rows_are_numbered_by_row_not_by_line(self):
+        text = DUMP_HEADER + 'npm,app,1.0.0,100,lib,"1.0.0\n|| 2.0.0"\n' + "npm,lib,1.0.0,never,,\n"
+        events, quarantined = run_dump(text)
+        assert events[1].payload["to"] == ["lib", "1.0.0\n|| 2.0.0"]
+        assert quarantined[0].line_no == 3
+
+    def test_long_row_is_quarantined_with_its_extra_fields(self):
+        _, [q] = run_dump(DUMP_HEADER + "npm,app,1.0.0,100,lib,1.0.0,x,y\n")
+        assert (q.line_no, q.reason, q.record) == (2, "CsvError", "row has extra fields: ['x', 'y']")
+
+    def test_short_row_reads_missing_cells_as_none(self):
+        events, _ = run_dump(DUMP_HEADER + "npm,app,1.0.0,100\n")
+        assert [e.kind for e in events] == ["unit"]
+        _, [q] = run_dump(DUMP_HEADER + "npm,app\n")
+        assert q.record == {
+            "platform": "npm", "name": "app", "version": None, "released_at": None,
+            "dep_name": None, "dep_requirement": None,
+        }
+
+    def test_repeated_column_reads_its_last_cell(self):
+        text = "name,version,released_at,name\nfirst,1.0.0,5,last\nfirst,,5,last\n"
+        events, [q] = run_dump(text)
+        assert events[0].payload["name"] == "last"
+        assert q.record == {"name": "last", "version": "", "released_at": "5"}
+
+    def test_dependency_requirement_column_is_optional(self):
+        events, _ = run_dump("name,version,released_at,dep_name\napp,1.0.0,5,lib\n")
+        assert events[1].payload == {"from": ["app", "1.0.0"], "to": ["lib", "*"]}
+
+    @settings(deadline=None, max_examples=400)
+    @given(data=st.data())
+    def test_matches_the_dict_reader_version(self, data):
+        # written by csv.writer: quoting, embedded newlines and commas
+        mapping = data.draw(st.sampled_from(_MAPPINGS))
+        pool = [*vars(mapping).values(), "extra"]
+        header = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8))
+        width = len(header)
+        rows = data.draw(st.lists(st.lists(_CELL, max_size=width + 2), max_size=12))
+        buf = io.StringIO(newline="")
+        writer = csv.writer(buf, lineterminator=data.draw(st.sampled_from(["\n", "\r\n"])))
+        buf.write(data.draw(st.sampled_from(["", "\n", "\r\n\n"])))
+        writer.writerow(header)
+        for row in rows:
+            if row:
+                writer.writerow(row)
+            else:
+                buf.write("\n")
+        assert _dump_outcome(buf.getvalue(), mapping) == _reference_outcome(buf.getvalue(), mapping)
+
+    @settings(deadline=None, max_examples=400)
+    @given(text=st.text(alphabet='ab1,"\n\r ', max_size=60), mapping=st.sampled_from(_RAW_MAPPINGS))
+    def test_matches_the_dict_reader_version_on_raw_text(self, text, mapping):
+        assert _dump_outcome(text, mapping) == _reference_outcome(text, mapping)
 
 
 def run_contributions(text):

@@ -85,6 +85,24 @@ def test_ordering_is_a_total_order(a, b, c):
         assert a < c  # transitivity
 
 
+def _reference_key(v):
+    # the precedence key Version rebuilt on every comparison before it kept one
+    pre = (0, tuple((0, int(p), "") if p.isdigit() else (1, 0, p) for p in v.prerelease)) if v.prerelease else (1, ())
+    return (v.major, v.minor, v.patch, pre)
+
+
+@given(a=_version, b=_version, build=st.lists(st.sampled_from(["b", "5", "x-1"]), max_size=2).map(tuple))
+def test_comparisons_and_hash_follow_the_precedence_key(a, b, build):
+    b = Version(b.major, b.minor, b.patch, b.prerelease, build)
+    ka, kb = _reference_key(a), _reference_key(b)
+    assert (a == b, a != b, a < b, a <= b, a > b, a >= b) == (ka == kb, ka != kb, ka < kb, ka <= kb, ka > kb, ka >= kb)
+    if a == b:
+        assert hash(a) == hash(b)
+    assert repr(b) == (f"Version(major={b.major}, minor={b.minor}, patch={b.patch}, "
+                       f"prerelease={b.prerelease!r}, build={build!r})")
+    assert sorted([a, b], key=_reference_key) == sorted([a, b])
+
+
 @given(v=_version)
 def test_string_round_trip(v):
     assert parse_version(str(v)) == v
