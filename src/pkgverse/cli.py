@@ -25,7 +25,7 @@ import io
 import json
 import sys
 from collections import Counter
-from dataclasses import asdict, fields
+from dataclasses import asdict, astuple, fields
 from pathlib import Path
 
 from . import export
@@ -45,9 +45,11 @@ from .eventlog import EventLog, replay
 from .ingest import (
     ColumnMap,
     Quarantined,
+    RegistryInfo,
     load_registry_table,
     manifest_events,
     parse_contribution_events,
+    parse_decimal,
     parse_manifest,
     parse_registry_dump,
     parse_timestamp,
@@ -67,10 +69,10 @@ def _parse_duration(text: str) -> int:
     if text and text[-1] in "dhms":
         factor = {"d": 86400, "h": 3600, "m": 60, "s": 1}[text[-1]]
         text = text[:-1]
-    try:
-        return int(text) * factor
-    except ValueError:
-        raise InvalidTimestamp(f"not a duration: {text!r}") from None
+    number = parse_decimal(text)
+    if number is None:
+        raise InvalidTimestamp(f"not a duration: {text!r}")
+    return number * factor
 
 
 def _emit(args, text: str) -> None:
@@ -124,12 +126,15 @@ def _column_map(columns: str | None) -> ColumnMap | None:
 
 
 def _load_contribution_file(path) -> tuple[list[Contribution], list[Quarantined]]:
+    """The file's contributions and its quarantined records, each of which
+    is reported on stderr."""
     contributions: list[Contribution] = []
     quarantined: list[Quarantined] = []
     with open(path, encoding="utf-8-sig") as fh:
         for item in parse_contribution_events(fh, source=str(path)):
             if isinstance(item, Quarantined):
                 quarantined.append(item)
+                print(f"quarantined {item.source}:{item.line_no}: {item.reason}", file=sys.stderr)
             else:
                 contributions.append(Contribution.from_payload(item.payload))
     return contributions, quarantined
@@ -241,8 +246,6 @@ def cmd_congruence(args) -> int:
         raise PkgverseError(f"--bot-threshold must be within [0, 1], got {args.bot_threshold}")
     result = _replay_log(args)
     contributions, quarantined = _load_contribution_file(args.contributions)
-    for q in quarantined:
-        print(f"quarantined {q.source}:{q.line_no}: {q.reason}", file=sys.stderr)
 
     developers = merge_identities(
         [(c.developer, "") for c in contributions], result.aliases
@@ -300,12 +303,12 @@ def cmd_sample(args) -> int:
     result = _replay_log(args)
     snap = result.graph.timed_snapshot(_at_or_latest(args.at, result.graph))
 
-    contributions = None
+    contributions, quarantined = None, []
     if args.contributions:
-        contributions, _ = _load_contribution_file(args.contributions)
+        contributions, quarantined = _load_contribution_file(args.contributions)
     popularity = None
     if args.popularity_csv:
-        with open(args.popularity_csv, newline="", encoding="utf-8") as fh:
+        with open(args.popularity_csv, newline="", encoding="utf-8-sig") as fh:
             rows = csv.DictReader(fh)
             try:
                 popularity = {row["package"]: float(row["score"]) for row in rows}
@@ -325,7 +328,7 @@ def cmd_sample(args) -> int:
             doc["breakage"] = asdict(breakage)
         _emit_json(args, doc)
     print(f"selected {len(selected)} packages", file=sys.stderr)
-    return _exit_code(result.quarantine)
+    return _exit_code(quarantined, result.quarantine)
 
 
 def cmd_activity(args) -> int:
@@ -353,10 +356,9 @@ def cmd_registries(args) -> int:
         if not table:
             raise PkgverseError(f"unknown registry {args.ecosystem!r}")
     if args.format == "json":
-        _emit_json(args, [r.__dict__ for r in table])
+        _emit_json(args, [asdict(r) for r in table])
     else:
-        columns = ("ecosystem", "language", "tiobe_rank", "environment", "tree_style", "archive_url")
-        _emit_csv(args, [columns, *([getattr(r, c) for c in columns] for r in table)])
+        _emit_csv(args, [[f.name for f in fields(RegistryInfo)], *map(astuple, table)])
     return EXIT_OK
 
 

@@ -55,8 +55,6 @@ class Developer:
 
     canonical_id: str
     aliases: frozenset[str]
-    bot_flag: bool = False
-    bot_score: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -344,11 +342,8 @@ def build_dc_graph(
     contributions. Callers pass contributions already identity-merged and
     (normally) bot-filtered. A live graph answers from its package
     projection, indexed by time once per write and bisected per window; a
-    snapshot gives its own projection, computed once per snapshot."""
-    if isinstance(graph, UniverseGraph):
-        dep_edges = graph.package_dependency_edges(window.end)
-    else:
-        dep_edges = graph.package_dependency_edges()
+    snapshot answers at the earlier of the window's end and its own time."""
+    dep_edges = graph.package_dependency_edges(window.end)
     in_window = tuple(
         sorted(
             (c for c in contributions if window.contains(c.time)),

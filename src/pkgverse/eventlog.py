@@ -21,10 +21,14 @@ and everything that reads or writes log lines derives from it; one event per lin
 ``seq`` is assigned by the log on append, never by the caller, so a single
 log is gap-free. Temporal queries key on release time.
 
+The log line is the canonical form of an event: one encoder checks each
+field as it writes it, and :func:`validate_payload` returns what a
+payload's line decodes to, so it cannot disagree with the bytes appended.
+
 Replay reads lines as the templates write them (ASCII text without
 escapes, ints of at most 100 digits) with one regex derived from the same
 table. Any other valid spelling (escapes, non-ASCII text, other key orders,
-whitespace, extra fields) is read as before, by ``json.loads`` and
+whitespace, extra fields) is read by ``json.loads`` and
 :func:`validate_payload`; both give the same graph and quarantine.
 
 A record commits with its trailing newline. ``append`` writes and flushes
@@ -94,12 +98,7 @@ class _Shape:
     what: str  # completes "field 'x' must be ..." in a SchemaError
     dump: Callable[[object], str | None]  # the JSON text of a value that fits, else None
     pattern: bytes  # regex of the canonical JSON text, one group around what load reads
-    load: Callable[[bytes], object]  # the canonical value of that group
-    canonical: Callable[[object], object] = lambda v: v  # of a value that fits
-
-    def check(self, value):
-        """The canonical value, or None when the value does not fit."""
-        return None if self.dump(value) is None else self.canonical(value)
+    load: Callable[[bytes], object]  # the value json.loads reads from that group
 
 
 # Strings go through the C escaper json.dumps uses with ensure_ascii=True, so
@@ -132,8 +131,8 @@ _INT = _Shape("an integer", lambda v: int.__repr__(v) if type(v) is not bool and
 _BOOL = _Shape("true or false", lambda v: ("true" if v else "false") if type(v) is bool else None,
                rb"(true|false)", b"true".__eq__)
 _REF = _Shape("a [name, release] pair", _dump_ref, rb'\["(%s","%s)"\]' % (_RAW, _RAW),
-              lambda b: b.decode().split('","'), list)
-_NAME = _Shape("a one-element [name] list", _dump_name, rb'\["(%s)"\]' % _RAW, lambda b: [b.decode()], list)
+              lambda b: b.decode().split('","'))
+_NAME = _Shape("a one-element [name] list", _dump_name, rb'\["(%s)"\]' % _RAW, lambda b: [b.decode()])
 _CTYPE = _Shape("one of " + ", ".join(CONTRIBUTION_TYPES),
                 lambda v: _esc(v) if isinstance(v, str) and v in CONTRIBUTION_TYPES else None,
                 b'"(%s)"' % b"|".join(t.encode() for t in CONTRIBUTION_TYPES), bytes.decode)
@@ -176,45 +175,32 @@ def _canonical_line():
 _CANONICAL, _BY_LAST_GROUP = _canonical_line()
 
 
-def _rows(kind, payload) -> tuple:
-    """The schema rows of ``kind``, once ``payload`` is known to be an object."""
+def _line(seq: int, kind: str, payload: dict) -> str:
+    """The log line of a payload, newline included. This is the wire
+    schema's one check: each field is checked and encoded by one call of
+    its shape's ``dump``, and a field that does not fit raises SchemaError."""
     rows = SCHEMA.get(kind) if isinstance(kind, str) else None
     if rows is None:
         raise SchemaError(f"unknown event kind {kind!r}")
     if not isinstance(payload, dict):
         raise SchemaError("payload must be an object")
-    return rows
-
-
-def _misfit(payload: dict, key: str, shape: _Shape) -> SchemaError:
-    if key not in payload:
-        return SchemaError(f"missing field {key!r}")
-    return SchemaError(f"field {key!r} must be {shape.what}, got {payload[key]!r:.60}")
+    args = [seq]
+    for key, shape in rows:
+        text = shape.dump(payload.get(key))  # None, absent or not, never fits
+        if text is None:
+            if key not in payload:
+                raise SchemaError(f"missing field {key!r}")
+            raise SchemaError(f"field {key!r} must be {shape.what}, got {payload[key]!r:.60}")
+        args.append(text)
+    return _TEMPLATES[kind] % tuple(args)
 
 
 def validate_payload(kind: str, payload: dict) -> dict:
     """Check a payload against the wire schema and return its canonical
-    form (known fields only, schema order). Unknown fields are dropped."""
-    canonical = {}
-    for key, shape in _rows(kind, payload):
-        value = shape.check(payload.get(key))  # None, absent or not, never fits
-        if value is None:
-            raise _misfit(payload, key, shape)
-        canonical[key] = value
-    return canonical
-
-
-def _line(seq: int, kind: str, payload: dict) -> str:
-    """The log line of a payload, newline included, checked as by
-    :func:`validate_payload` but with one call per field that checks and
-    encodes it, which is faster than building the canonical dict first."""
-    args = [seq]
-    for key, shape in _rows(kind, payload):
-        text = shape.dump(payload.get(key))
-        if text is None:
-            raise _misfit(payload, key, shape)
-        args.append(text)
-    return _TEMPLATES[kind] % tuple(args)
+    form: the schema's fields, in schema order, of the object its log line
+    decodes to. Unknown fields are dropped."""
+    record = json.loads(_line(0, kind, payload))
+    return {key: record[key] for key in _FIELDS[kind]}
 
 
 def _decode(line: bytes) -> dict:
@@ -348,7 +334,7 @@ class EventLog:
         try:
             for event in events:
                 if self._next_seq is None:  # an invalid first event leaves the file untouched
-                    validate_payload(event.kind, event.payload)
+                    _line(0, event.kind, event.payload)
                     self._next_seq = self._scan_last_seq() + 1
                 line = _line(self._next_seq + len(chunk), event.kind, event.payload)
                 chunk.append(line)
@@ -483,11 +469,11 @@ def replay_until(log: EventLog | str | Path, t: int, *, strict: bool = False) ->
     order of the surviving units' original insertion).
     """
     snap = replay(log, strict=strict).graph.timed_snapshot(t)
+    units, use_edges, update_edges = snap._sorted_parts
     g = UniverseGraph(strict=strict)
-    units = sorted(snap.units, key=lambda u: u.uid)
     new = {u.uid: g.add_unit(u.name, u.release, u.time) for u in units}
-    for e in sorted(snap.use_edges, key=lambda e: (e.src, e.dst)):
+    for e in use_edges:
         g.add_use_edge(new[e.src], new[e.dst])
-    for e in sorted(snap.update_edges, key=lambda e: (e.src, e.dst)):
+    for e in update_edges:
         g.add_update_edge(new[e.src], new[e.dst])
     return g

@@ -404,8 +404,11 @@ class TimedSnapshot(_ReadQueries):
 
     @cached_property
     def _package_edges(self) -> frozenset[tuple[str, str]]:
+        return self._project(self.use_edges)
+
+    def _project(self, use_edges) -> frozenset[tuple[str, str]]:
         by_uid = self._by_uid
-        pairs = ((by_uid[e.src].name, by_uid[e.dst].name) for e in self.use_edges)
+        pairs = ((by_uid[e.src].name, by_uid[e.dst].name) for e in use_edges)
         return frozenset((a, b) for a, b in pairs if a != b)
 
     @cached_property
@@ -419,14 +422,20 @@ class TimedSnapshot(_ReadQueries):
             sorted(self.update_edges, key=ends),
         )
 
-    def package_dependency_edges(self) -> frozenset[tuple[str, str]]:
-        """Package-level projection of the use-edges, computed once.
+    def package_dependency_edges(self, at: int | None = None) -> frozenset[tuple[str, str]]:
+        """Package-level projection of the use-edges active at
+        ``min(at, self.at)``. The projection of the whole snapshot (``at``
+        None or not before ``self.at``) is computed once; an earlier one is
+        computed on each call.
 
         Any use-edge between releases of two distinct names induces one
         (client, library) pair; edges between releases of the same name are
         not dependencies at package granularity and are dropped.
         """
-        return self._package_edges
+        if at is None or at >= self.at:
+            return self._package_edges
+        by_uid = self._by_uid
+        return self._project(e for e in self.use_edges if max(by_uid[e.src].time, by_uid[e.dst].time) <= at)
 
     def is_subgraph_of(self, other: "TimedSnapshot") -> bool:
         return (

@@ -68,6 +68,14 @@ class Quarantined:
     record: object
 
 
+def parse_decimal(text: str) -> int | None:
+    """The integer ``text`` spells as an optional ``-`` and ASCII digits, or
+    None. ``int()`` also reads underscores, a ``+``, surrounding whitespace
+    and non-ASCII digits; none of those is a number here."""
+    digits = text[1:] if text[:1] == "-" else text
+    return int(text) if digits.isascii() and digits.isdigit() else None
+
+
 def parse_timestamp(value) -> int:
     """Normalize epoch seconds or ISO-8601 text to UTC epoch seconds."""
     if isinstance(value, bool):
@@ -78,11 +86,9 @@ def parse_timestamp(value) -> int:
         text = value.strip()
         if not text:
             raise InvalidTimestamp("empty timestamp")
-        if not text.endswith((" UTC", "Z", "z")):  # int() rejects these, and its failure is slow
-            try:
-                return int(text)
-            except ValueError:
-                pass
+        seconds = parse_decimal(text)
+        if seconds is not None:
+            return seconds
         if text.endswith(" UTC"):  # registry-dump style: 2015-03-17 22:05:49 UTC
             text = text[:-4]
         if text.endswith(("Z", "z")):
@@ -129,7 +135,7 @@ def parse_manifest(data: bytes | str, sections: tuple[str, ...] = ("dependencies
     rejected — a manifest with two entries for one dependency is ambiguous.
     """
     if isinstance(data, bytes):
-        data = data.decode("utf-8")
+        data = data.decode("utf-8-sig")  # -sig: drop a leading BOM
     try:
         doc = json.loads(data, object_pairs_hook=_reject_duplicate_keys)
     except json.JSONDecodeError as exc:
@@ -340,7 +346,7 @@ def load_registry_table(path=None) -> list[RegistryInfo]:
     user-supplied CSV with the same columns)."""
     table_path = Path(path) if path is not None else _BUNDLED_TABLE
     rows: list[RegistryInfo] = []
-    with table_path.open(newline="", encoding="utf-8") as fh:
+    with table_path.open(newline="", encoding="utf-8-sig") as fh:
         for row_no, row in enumerate(csv.DictReader(fh), start=2):
             try:
                 style = row["tree_style"].strip().lower()

@@ -293,10 +293,10 @@ def activity_report(
     """Summarize one package's recent releases and current dependents.
 
     ``at`` defaults to the newest release time in the graph; the window is
-    the half-open interval ``(at - window, at]``. On a live graph only
-    units released at or before ``at`` count, as in ``g.timed_snapshot(at)``,
-    but the query reads the graph's own maps instead of building that
-    snapshot; a snapshot is read whole.
+    the half-open interval ``(at - window, at]``. On either kind of graph
+    only units released at or before ``at`` count, as in
+    ``g.timed_snapshot(at)``, but the query reads the graph's own maps
+    instead of building that snapshot.
     """
     if window <= 0:
         raise InvalidRange(f"window must be positive, got {window}")
@@ -307,7 +307,7 @@ def activity_report(
         at = max(u.time for u in g.units) if live else g.at
 
     def visible(uid: int) -> bool:
-        return not live or g.unit(uid).time <= at
+        return g.unit(uid).time <= at
 
     releases = [uid for uid in g.units_of_name(package) if visible(uid)]
     if not releases:

@@ -3,8 +3,11 @@
 Versions follow the canonical ``MAJOR.MINOR.PATCH[-prerelease][+build]``
 grammar with its usual precedence rules (numeric identifiers compare
 numerically and sort below alphanumeric ones, a prerelease sorts below the
-plain version, build metadata is ignored). The range grammar is the
-node-semver subset commonly found in package manifests:
+plain version, build metadata is ignored). There is one version grammar: a
+range body may leave parts out or make them wildcards, and
+:func:`parse_version` reads a text by the same rule and accepts it only
+when it names all three parts. The range grammar is the node-semver subset
+commonly found in package manifests:
 
 * exact (``1.2.3`` / ``=1.2.3``), comparators ``>`` ``>=`` ``<`` ``<=``
 * caret ``^1.2.3`` and tilde ``~1.2.3``
@@ -55,16 +58,16 @@ __all__ = [
     "resolve_version_range",
 ]
 
-# numeric parts without leading zeros; ASCII digits only, so ranges and
-# versions accept exactly the same tags
+# a possibly partial version (1 / 1.2 / 1.2.x / 1.x / *) with optional tags;
+# numeric parts have no leading zeros and take ASCII digits only
 _NUMBER = r"0|[1-9]\d*"
+_PART = rf"{_NUMBER}|[xX*]"
 _PRE_IDENT = rf"(?:{_NUMBER}|\d*[a-zA-Z-][0-9a-zA-Z-]*)"
-_TAGS = (
+_PARTIAL_RE = re.compile(
+    rf"^(?P<major>{_PART})(?:\.(?P<minor>{_PART}))?(?:\.(?P<patch>{_PART}))?"
     rf"(?:-(?P<prerelease>{_PRE_IDENT}(?:\.{_PRE_IDENT})*))?"
-    r"(?:\+(?P<build>[0-9a-zA-Z-]+(?:\.[0-9a-zA-Z-]+)*))?$"
-)
-_VERSION_RE = re.compile(
-    rf"^(?P<major>{_NUMBER})\.(?P<minor>{_NUMBER})\.(?P<patch>{_NUMBER})" + _TAGS, re.ASCII
+    r"(?:\+(?P<build>[0-9a-zA-Z-]+(?:\.[0-9a-zA-Z-]+)*))?$",
+    re.ASCII,
 )
 
 
@@ -139,12 +142,13 @@ def parse_version(text: str) -> Version:
 
 @lru_cache(maxsize=_MEMO_SIZE)
 def _parse_version(text: str) -> Version:
-    m = _VERSION_RE.match(text.strip())
-    if not m:
+    try:
+        version, span, partial = _bounds(text.strip())
+    except VersionParseError:
+        span = None
+    if span is None or partial:  # not a version body, a wildcard or a missing part
         raise VersionParseError(f"not a semantic version: {text!r}")
-    pre = tuple(m.group("prerelease").split(".")) if m.group("prerelease") else ()
-    build = tuple(m.group("build").split(".")) if m.group("build") else ()
-    return Version(int(m.group("major")), int(m.group("minor")), int(m.group("patch")), pre, build)
+    return version
 
 
 _COMPARE = {"=": operator.eq, ">": operator.gt, ">=": operator.ge, "<": operator.lt, "<=": operator.le}
@@ -161,13 +165,6 @@ class _Comparator:
     def __str__(self) -> str:
         return f"{self.op}{self.version}" if self.op != "=" else str(self.version)
 
-
-# a partial version: 1 / 1.2 / 1.2.x / 1.x / * , optionally with prerelease
-_PARTIAL_RE = re.compile(
-    rf"^(?P<major>{_NUMBER}|[xX*])(?:\.(?P<minor>{_NUMBER}|[xX*]))?(?:\.(?P<patch>{_NUMBER}|[xX*]))?"
-    + _TAGS,
-    re.ASCII,
-)
 
 # the operator a range token starts with; "" for a bare version
 _OPERATOR_RE = re.compile(r"[<>]=?|[=^~]|")

@@ -471,6 +471,27 @@ class TestSample:
         [line] = proc.stderr.splitlines()
         assert line.startswith("error: ") and detail in line
 
+    def test_bad_contribution_records_are_reported_and_exit_2(self, universe_log, tmp_path, capsys):
+        records = tmp_path / "c.ndjson"
+        good = '{"id": "c1", "author": "alice", "target": "x", "type": "pr", "time": 1, "merged": true}\n'
+        records.write_text(good + "not json\n" + '{"author": "bob"}\n')
+        argv = ["sample", "--log", str(universe_log), "--metric", "contributors", "--k", "1"]
+        assert main([*argv, "--contributions", str(records)]) == 2
+        out, err = capsys.readouterr()
+        assert f"quarantined {records}:2: ParseError" in err.splitlines()
+        assert f"quarantined {records}:3: SchemaError" in err.splitlines()
+        records.write_text(good)
+        assert main([*argv, "--contributions", str(records)]) == 0
+        assert capsys.readouterr().out == out
+
+    def test_utf8_bom_popularity_csv(self, universe_log, tmp_path, capsys):
+        table = tmp_path / "pop.csv"
+        table.write_bytes(b"\xef\xbb\xbfpackage,score\nq,9\nx,1\n")
+        code = main(["sample", "--log", str(universe_log), "--metric", "popularity", "--k", "1",
+                     "--popularity-csv", str(table)])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["selected"] == ["q"]
+
     def test_csv_format(self, universe_log, capsys):
         code = main(["sample", "--log", str(universe_log), "--at", "5", "--metric", "dependents",
                      "--k", "1", "--measure-breakage", "--format", "csv"])
@@ -509,6 +530,12 @@ class TestActivity:
         [line] = proc.stderr.splitlines()
         assert line.startswith("error: ") and "window must be positive" in line
 
+    @pytest.mark.parametrize("window", ["1_0d", "\u0661\u0662s", "+5d"])
+    def test_window_takes_only_a_minus_and_ascii_digits(self, universe_log, capsys, window):
+        code = main(["activity", "--log", str(universe_log), "--package", "x", f"--window={window}", "--at", "20"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: not a duration")
+
     def test_csv_format_single_row(self, universe_log, capsys):
         code = main(["activity", "--log", str(universe_log), "--package", "x",
                      "--window", "2s", "--at", "20", "--format", "csv"])
@@ -533,6 +560,17 @@ class TestRegistries:
 
     def test_unknown_is_fatal(self, capsys):
         assert main(["registries", "--ecosystem", "nope"]) == 1
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_utf8_bom_table(self, tmp_path, capsys, fmt):
+        text = b"ecosystem,language,tiobe_rank,environment,tree_style,archive_url\nnpm,JavaScript,7,Node.js,nested,npmjs.com\n"
+        (tmp_path / "plain.csv").write_bytes(text)
+        (tmp_path / "bom.csv").write_bytes(b"\xef\xbb\xbf" + text)
+        assert main(["registries", "--format", fmt, "--table", str(tmp_path / "plain.csv")]) == 0
+        plain = capsys.readouterr().out
+        assert main(["registries", "--format", fmt, "--table", str(tmp_path / "bom.csv")]) == 0
+        assert capsys.readouterr().out == plain
+        assert "npmjs.com" in plain
 
 
 class TestImportFootprint:

@@ -45,6 +45,12 @@ class TestParseTimestamp:
         with pytest.raises(InvalidTimestamp):
             parse_timestamp(bad)
 
+    @pytest.mark.parametrize("lenient", ["1_000", "\u0661\u0662\u0663", " +5 ", "+5"])
+    def test_only_a_minus_and_ascii_digits_are_epoch_seconds(self, lenient):
+        with pytest.raises(InvalidTimestamp):
+            parse_timestamp(lenient)
+        assert parse_timestamp(" -5 ") == -5
+
 
 class TestParseManifest:
     def test_direct_field_mapping(self):
@@ -56,6 +62,10 @@ class TestParseManifest:
     def test_no_dependencies_key(self):
         m = parse_manifest('{"name":"a","version":"1.0.0"}')
         assert m.dependencies == ()
+
+    def test_utf8_bom_bytes(self):
+        m = parse_manifest(b'\xef\xbb\xbf{"name":"a","version":"1.0.0","dependencies":{"b":"1.0.0"}}')
+        assert (m.name, m.release, m.dependency_names()) == ("a", "1.0.0", {"b"})
 
     def test_duplicate_dependency_key_rejected(self):
         # JSON object key-uniqueness checked by a pre-scan of the pairs
@@ -355,6 +365,14 @@ class TestRegistryTable:
 
     def test_case_insensitive(self):
         assert registry_info("pypi").ecosystem == "PyPI"
+
+    def test_utf8_bom_table(self, tmp_path):
+        text = b"ecosystem,language,tiobe_rank,environment,tree_style,archive_url\nnpm,JavaScript,7,Node.js,nested,npmjs.com\n"
+        plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_bytes(text)
+        bom.write_bytes(b"\xef\xbb\xbf" + text)
+        assert load_registry_table(bom) == load_registry_table(plain)
+        assert [r.ecosystem for r in load_registry_table(bom)] == ["npm"]
 
     def test_expected_column_values(self):
         npm = registry_info("npm")

@@ -303,6 +303,27 @@ class TestActivityReport:
         report = activity_report(g, "x", window=2, at=20, dormant_threshold=99)
         assert not report.dormant_but_depended_upon
 
+    def test_later_snapshot_matches_live_graph(self, rng):
+        g = UniverseGraph()
+        a1 = g.add_unit("a", "1", 10)
+        g.add_unit("a", "2", 50)
+        g.add_use_edge(g.add_unit("b", "1", 60), a1)
+        report = activity_report(g.timed_snapshot(100), "a", 20, at=30)
+        assert (report.last_release_time, report.time_since_last_release, report.dependent_count) == (10, 20, 0)
+        assert report == activity_report(g, "a", 20, at=30)
+        for _ in range(20):
+            g = random_universe(rng, rng.randint(1, 40), p_edge=rng.choice((0.02, 0.1, 0.3)))
+            snap = g.timed_snapshot(max(u.time for u in g.units))
+            for at in (rng.randint(0, snap.at) for _ in range(4)):
+                for name in sorted(g.names()):
+                    try:
+                        expected = activity_report(g, name, 5, at=at)
+                    except UnknownPackage:
+                        with pytest.raises(UnknownPackage):
+                            activity_report(snap, name, 5, at=at)
+                        continue
+                    assert activity_report(snap, name, 5, at=at) == expected
+
     def test_live_graph_matches_brute_snapshot(self, rng):
         def outcome(g, name, window, at, threshold):
             try:
