@@ -21,10 +21,10 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
 from collections import Counter
+from contextlib import nullcontext
 from dataclasses import asdict, astuple, fields
 from pathlib import Path
 
@@ -55,7 +55,7 @@ from .ingest import (
     parse_timestamp,
 )
 from .resolve import build_tree_at, detect_conflicts, flatten_tree, iter_lock_entries, tree_to_dict
-from .sampling import METRICS, SampleSpec, activity_report, chain_breakage, sample_top_k, snapshot_series
+from .sampling import METRICS, SampleSpec, activity_report, chain_breakage, sample_top_k, series_instants
 
 EXIT_OK = 0
 EXIT_FATAL = 1
@@ -75,21 +75,19 @@ def _parse_duration(text: str) -> int:
     return number * factor
 
 
-def _emit(args, text: str) -> None:
-    if getattr(args, "out", None):
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+def _output(args):
+    """A context holding the ``--out`` file, opened for writing, or stdout."""
+    return open(args.out, "w", encoding="utf-8") if getattr(args, "out", None) else nullcontext(sys.stdout)
 
 
 def _emit_json(args, doc) -> None:
-    _emit(args, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    with _output(args) as fh:
+        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def _emit_csv(args, rows) -> None:
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(rows)
-    _emit(args, buf.getvalue())
+    with _output(args) as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
 
 
 def _replay_log(args):
@@ -125,8 +123,9 @@ def _column_map(columns: str | None) -> ColumnMap | None:
     return ColumnMap(*names)
 
 
-def _load_contribution_file(path) -> tuple[list[Contribution], list[Quarantined]]:
-    """The file's contributions and its quarantined records, each of which
+def _load_contribution_file(path, aliases) -> tuple[list[Contribution], list[Quarantined]]:
+    """The file's contributions, with identities merged under the log's
+    ``(canonical, alias)`` pairs, and its quarantined records, each of which
     is reported on stderr."""
     contributions: list[Contribution] = []
     quarantined: list[Quarantined] = []
@@ -137,7 +136,8 @@ def _load_contribution_file(path) -> tuple[list[Contribution], list[Quarantined]
                 print(f"quarantined {item.source}:{item.line_no}: {item.reason}", file=sys.stderr)
             else:
                 contributions.append(Contribution.from_payload(item.payload))
-    return contributions, quarantined
+    developers = merge_identities([(c.developer, "") for c in contributions], aliases)
+    return canonicalize_contributions(contributions, developers), quarantined
 
 
 # --- subcommands ----------------------------------------------------------------
@@ -195,19 +195,13 @@ def cmd_snapshot(args) -> int:
     result = _replay_log(args)
     at = parse_timestamp(args.at)
     if args.series_until is not None:
-        until = parse_timestamp(args.series_until)
-        step = _parse_duration(args.series_step)
-        series = snapshot_series(result.graph, at, until, step)
-        paths = export.export_snapshot_series(series, args.out_dir or "snapshots")
+        instants = series_instants(at, parse_timestamp(args.series_until), _parse_duration(args.series_step))
+        paths = export.export_snapshot_series(result.graph.timed_snapshots(instants), args.out_dir or "snapshots")
         print(f"wrote {len(paths)} snapshot files", file=sys.stderr)
         return _exit_code(result.quarantine)
     snap = result.graph.timed_snapshot(at)
-    renderers = {
-        "json": export.snapshot_to_json,
-        "dot": export.snapshot_to_dot,
-        "graphml": export.snapshot_to_graphml,
-    }
-    _emit(args, renderers[args.format](snap))
+    with _output(args) as fh:
+        export.write_snapshot(fh, snap, args.format)
     print(
         f"snapshot at t={at}: {len(snap.units)} units, "
         f"{len(snap.use_edges)} use-edges, {len(snap.update_edges)} update-edges",
@@ -245,12 +239,7 @@ def cmd_congruence(args) -> int:
     if not 0.0 <= args.bot_threshold <= 1.0:
         raise PkgverseError(f"--bot-threshold must be within [0, 1], got {args.bot_threshold}")
     result = _replay_log(args)
-    contributions, quarantined = _load_contribution_file(args.contributions)
-
-    developers = merge_identities(
-        [(c.developer, "") for c in contributions], result.aliases
-    )
-    contributions = canonicalize_contributions(contributions, developers)
+    contributions, quarantined = _load_contribution_file(args.contributions, result.aliases)
 
     excluded: set[str] = set()
     if not args.keep_bots:
@@ -284,9 +273,8 @@ def cmd_congruence(args) -> int:
         dc = build_dc_graph(result.graph, contributions, window)
         for pair in congruent_contributions(dc):
             rows.append((window, pair))
-    buf = io.StringIO()
-    export.write_congruence_csv(buf, rows)
-    _emit(args, buf.getvalue())
+    with _output(args) as fh:
+        export.write_congruence_csv(fh, rows)
     print(
         f"{len(rows)} congruent pairs across {len(windows)} windows; "
         f"{len(excluded)} developers excluded as bots",
@@ -305,7 +293,7 @@ def cmd_sample(args) -> int:
 
     contributions, quarantined = None, []
     if args.contributions:
-        contributions, quarantined = _load_contribution_file(args.contributions)
+        contributions, quarantined = _load_contribution_file(args.contributions, result.aliases)
     popularity = None
     if args.popularity_csv:
         with open(args.popularity_csv, newline="", encoding="utf-8-sig") as fh:

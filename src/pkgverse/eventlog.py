@@ -28,8 +28,8 @@ payload's line decodes to, so it cannot disagree with the bytes appended.
 Replay reads lines as the templates write them (ASCII text without
 escapes, ints of at most 100 digits) with one regex derived from the same
 table. Any other valid spelling (escapes, non-ASCII text, other key orders,
-whitespace, extra fields) is read by ``json.loads`` and
-:func:`validate_payload`; both give the same graph and quarantine.
+whitespace, extra fields) is decoded by ``json.loads`` and checked by the
+line encoder; both give the same graph and quarantine.
 
 A record commits with its trailing newline. ``append`` writes and flushes
 one line; ``append_events`` writes its lines in chunks of whole lines and
@@ -453,7 +453,10 @@ def replay(
                 seq, kind = record.get("seq"), record.get("kind")
                 seq = seq if type(seq) is int else None
             try:
-                _apply(result, kind, values if record is None else validate_payload(kind, record).values())
+                if record is not None:  # checked by the encoder, applied as decoded
+                    _line(0, kind, record)
+                    values = [record[key] for key in _FIELDS[kind]]
+                _apply(result, kind, values)
             except PkgverseError as exc:
                 if record is None:  # the record json.loads would give
                     record = {"v": SCHEMA_VERSION, "seq": seq, "kind": kind, **dict(zip(_FIELDS[kind], values))}

@@ -7,15 +7,19 @@ connect them: a *use-edge* records that one unit depends on another, and an
 name. The graph is append-only: units and edges are never modified or
 removed, so the stored sets only grow over time. Historical states are
 answered by :meth:`UniverseGraph.timed_snapshot`, which induces the
-immutable subgraph of everything released at or before an instant.
+immutable subgraph of everything released at or before an instant, or by
+:meth:`UniverseGraph.timed_snapshots`, which sweeps a run of instants.
 
 Time index: an edge joins every snapshot from its activation time
 ``max(t_src, t_dst)`` on. The graph keeps units ordered by (time, handle)
 and edges by activation time, sorting once on the first snapshot after a
-write, so a snapshot is a bisected prefix. The first package projection
-after a write indexes each (client, library) pair at its first activation
-time, so the live graph's projection at any instant is a bisected prefix
-too, with no snapshot built; writes and replay do no extra work. Snapshots
+write, so a snapshot is a bisected prefix. A sweep walks these columns
+once: each snapshot's sets are the previous one's plus what became active
+in between (``frozenset.union`` copies a set with its stored hashes, so no
+prefix is hashed twice). The first package projection after a write
+indexes each (client, library) pair at its first activation time, so the
+live graph's projection at any instant is a bisected prefix too, with no
+snapshot built; writes and replay do no extra work. Snapshots
 build the lookup maps behind their read queries, their package projection
 and their export order from their own fields on first use, once each, and
 the queries themselves are shared with the live graph.
@@ -43,6 +47,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter
+from typing import Iterable, Iterator
 
 from .errors import (
     BranchingUpdate,
@@ -116,10 +121,10 @@ class GrowthDelta:
 class _Timeline:
     """Append-only values with fixed times, answered as time prefixes.
 
-    :meth:`upto` sorts the columns (stably) on its first call after an
-    append. It stores them before setting the flag, so a reader that finds
-    the flag set never bisects unsorted columns.
-    """
+    :meth:`sorted_cols` sorts the columns (stably) into new lists on its
+    first call after an append, and stores them before setting the flag, so
+    a reader that finds the flag set never bisects unsorted columns. Appends
+    only extend lists, so a sorted prefix a reader holds never changes."""
 
     __slots__ = ("cols", "is_sorted")
 
@@ -140,11 +145,6 @@ class _Timeline:
             self.cols = ([times[i] for i in order], [values[i] for i in order])
             self.is_sorted = True
         return self.cols
-
-    def upto(self, at: int) -> frozenset:
-        """Every value whose time is at or before ``at``."""
-        times, values = self.sorted_cols()
-        return frozenset(values[: bisect_right(times, at)])
 
 
 class _ReadQueries:
@@ -305,12 +305,26 @@ class UniverseGraph(_ReadQueries):
     def timed_snapshot(self, at: int) -> TimedSnapshot:
         """Immutable state of the graph at time ``at``: units released at or
         before ``at`` plus the edges induced on them."""
-        return TimedSnapshot(
-            at=at,
-            units=self._unit_timeline.upto(at),
-            use_edges=self._use_timeline.upto(at),
-            update_edges=self._update_timeline.upto(at),
-        )
+        return next(self.timed_snapshots((at,)))
+
+    def timed_snapshots(self, instants: Iterable[int]) -> Iterator[TimedSnapshot]:
+        """``timed_snapshot(t)`` for each ``t`` of ``instants``, lazily, in one
+        pass over the time index. The graph is read as it stands at the first
+        step: writes made while the sweep is consumed do not show in it.
+        Instants must not decrease (:class:`SnapshotOrderError`)."""
+        cols = [tl.sorted_cols() for tl in (self._unit_timeline, self._use_timeline, self._update_timeline)]
+        ends = [len(times) for times, _ in cols]  # bounds every bisect
+        starts, parts, last = [0, 0, 0], [frozenset()] * 3, None
+        for at in instants:
+            if last is not None and at < last:
+                raise SnapshotOrderError(f"instant {at} after {last}")
+            last = at
+            for i, (times, values) in enumerate(cols):
+                lo = starts[i]
+                hi = starts[i] = bisect_right(times, at, lo, ends[i])
+                if hi > lo:
+                    parts[i] = parts[i].union(values[lo:hi])
+            yield TimedSnapshot(at, *parts)
 
     def package_dependency_edges(self, at: int | None = None) -> frozenset[tuple[str, str]]:
         """Package projection of the use-edges active at ``at`` (of every

@@ -51,6 +51,7 @@ __all__ = [
     "sample_top_k",
     "chain_breakage",
     "snapshot_series",
+    "series_instants",
     "activity_report",
 ]
 
@@ -247,21 +248,21 @@ def chain_breakage(snapshot: TimedSnapshot, subset: set[str]) -> BreakageReport:
     )
 
 
-def snapshot_series(
-    g: UniverseGraph, t0: int, t1: int, step: int
-) -> list[TimedSnapshot]:
-    """Snapshots at t0, t0+step, ... up to and including t1 when it falls
-    on a step multiple. Consecutive pairs feed :func:`pkgverse.graph.diff`."""
+def series_instants(t0: int, t1: int, step: int) -> range:
+    """t0, t0+step, ... up to and including t1 when it falls on a step
+    multiple; :class:`InvalidRange` when t1 < t0 or step is not positive."""
     if t1 < t0:
         raise InvalidRange(f"t1={t1} before t0={t0}")
     if step <= 0:
         raise InvalidRange(f"step must be positive, got {step}")
-    series = [g.timed_snapshot(t0)]
-    t = t0
-    while t + step <= t1:
-        t += step
-        series.append(g.timed_snapshot(t))
-    return series
+    return range(t0, t1 + 1, step)
+
+
+def snapshot_series(g: UniverseGraph, t0: int, t1: int, step: int) -> list[TimedSnapshot]:
+    """Snapshots at :func:`series_instants`, built in one sweep of the time
+    index (:meth:`UniverseGraph.timed_snapshots`), each from the one before
+    it. Consecutive pairs feed :func:`pkgverse.graph.diff`."""
+    return list(g.timed_snapshots(series_instants(t0, t1, step)))
 
 
 @dataclass(frozen=True)

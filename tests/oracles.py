@@ -8,6 +8,7 @@ paths under test.
 from __future__ import annotations
 
 import csv
+from operator import attrgetter
 
 import networkx as nx
 
@@ -366,3 +367,22 @@ def reference_parse_registry_dump(reader, mapping: ColumnMap | None = None, sour
             if dep_name:
                 requirement = (row.get(mapping.dep_requirement) or "").strip() or "*"
                 yield use_event((name, version), (dep_name, requirement))
+
+
+def reference_dot(snapshot) -> str:
+    """The DOT export as a list of lines joined once, the way the renderer
+    wrote it before it emitted chunks; the chunked renderer must match it."""
+    ends = attrgetter("src", "dst")
+
+    def quote(text: str) -> str:
+        return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+    lines = ["digraph universe {"]
+    for u in sorted(snapshot.units, key=attrgetter("uid")):
+        lines.append(f"  n{u.uid} [label={quote(f'{u.name}@{u.release}')}, time={u.time}];")
+    for e in sorted(snapshot.use_edges, key=ends):
+        lines.append(f"  n{e.src} -> n{e.dst};")
+    for e in sorted(snapshot.update_edges, key=ends):
+        lines.append(f"  n{e.src} -> n{e.dst} [style=dashed];")
+    lines.append("}")
+    return "\n".join(lines) + "\n"

@@ -8,11 +8,12 @@ from pathlib import Path
 
 import pytest
 
+from pkgverse import export
 from pkgverse.cli import main
-from pkgverse.eventlog import EventLog, update_event, use_event
+from pkgverse.eventlog import EventLog, alias_event, replay, update_event, use_event
 from pkgverse.fixtures import client_library_fixture, sample_universe_events
 
-from oracles import check_dot_document
+from oracles import check_dot_document, reference_dot
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -590,3 +591,51 @@ class TestImportFootprint:
         assert {name.partition(".")[0] for name in loaded} - {"pkgverse"} <= sys.stdlib_module_names
         heavy = [n for n in loaded if n == "urllib.request" or n.partition(".")[0] in ("email", "http", "xml")]
         assert heavy == []
+
+
+class TestSnapshotStreaming:
+    @pytest.mark.parametrize("fmt", ["json", "dot", "graphml"])
+    def test_stdout_and_out_file_hold_the_same_bytes(self, universe_log, tmp_path, capsys, fmt):
+        argv = ["snapshot", "--log", str(universe_log), "--at", "99", "--format", fmt]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        path = tmp_path / f"snap.{fmt}"
+        assert main([*argv, "--out", str(path)]) == 0
+        assert path.read_bytes() == out.encode("utf-8")
+        graph = replay(universe_log).graph
+        assert out == getattr(export, f"snapshot_to_{fmt}")(graph.timed_snapshot(99))
+
+    def test_series_files_are_the_point_snapshots(self, universe_log, tmp_path, capsys):
+        out_dir = tmp_path / "series"
+        assert main(["snapshot", "--log", str(universe_log), "--at", "-1",
+                     "--series-until", "7", "--series-step", "3s", "--out-dir", str(out_dir)]) == 0
+        graph = replay(universe_log).graph
+        assert sorted(p.name for p in out_dir.iterdir()) == ["snapshot_-1.dot", "snapshot_2.dot", "snapshot_5.dot"]
+        for t in (-1, 2, 5):
+            assert (out_dir / f"snapshot_{t}.dot").read_text() == reference_dot(graph.timed_snapshot(t))
+
+    @pytest.mark.parametrize("until, step", [("5", "0s"), ("-3", "1s")])
+    def test_bad_series_range_writes_nothing(self, universe_log, tmp_path, capsys, until, step):
+        out_dir = tmp_path / "series"
+        assert main(["snapshot", "--log", str(universe_log), "--at", "0",
+                     "--series-until", until, "--series-step", step, "--out-dir", str(out_dir)]) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ")
+        assert not out_dir.exists()
+
+
+class TestSampleAliases:
+    def test_contributors_merge_the_logs_aliases(self, universe_log, tmp_path, capsys):
+        records = tmp_path / "c.ndjson"
+        records.write_text("".join(
+            json.dumps({"id": cid, "author": dev, "target": target, "type": "issue", "time": 1}) + "\n"
+            for cid, dev, target in [("c1", "alice", "x"), ("c2", "a.jones", "x"), ("c3", "bob", "q")]
+        ))
+        argv = ["sample", "--log", str(universe_log), "--metric", "contributors", "--k", "1",
+                "--contributions", str(records)]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["selected"] == ["x"]  # two contributors
+        with EventLog(universe_log) as log:
+            log.append(alias_event("alice", "a.jones"))
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["selected"] == ["q"]  # one each; q ranks first by name

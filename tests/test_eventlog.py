@@ -656,3 +656,17 @@ class TestReplayFastPath:
         for other in (line.replace('"a"', '"\\u0061"'), line.replace(":5", ":05"), line.replace(":5", ":-0"),
                       line.replace('"a"', '"\xe9"'), line.replace('"v":1', '"v":2'), line + "\n", " " + line):
             assert eventlog._CANONICAL.fullmatch(other.encode()) is None, other
+
+
+class TestReplayFallback:
+    def test_each_fallback_line_is_decoded_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "log.ndjson"
+        events = [unit_event("é", "1", 1), unit_event("ü", "1", 2), use_event(("é", "1"), ("ü", "1")),
+                  use_event(("é", "1"), ("ö", "1"))]  # the last one is quarantined
+        write_log(path, events)
+        expected = _replayed(path)
+        calls = []
+        loads = json.loads
+        monkeypatch.setattr(json, "loads", lambda *a, **k: calls.append(1) or loads(*a, **k))
+        assert _replayed(path) == expected
+        assert len(calls) == len(events)

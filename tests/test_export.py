@@ -1,10 +1,14 @@
 import io
 import json
+import random
+import tracemalloc
 import xml.etree.ElementTree as ET
 from operator import attrgetter
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from pkgverse import export
 from pkgverse.contrib import CongruentPair, Window
 from pkgverse.export import (
     export_snapshot_series,
@@ -12,13 +16,14 @@ from pkgverse.export import (
     snapshot_to_graphml,
     snapshot_to_json,
     write_congruence_csv,
+    write_snapshot,
 )
 from pkgverse.fixtures import sample_universe
 from pkgverse.graph import UniverseGraph
 from pkgverse.sampling import snapshot_series
 
 from conftest import random_universe
-from oracles import check_dot_document
+from oracles import check_dot_document, reference_dot
 
 
 def full_snapshot():
@@ -226,3 +231,55 @@ class TestCsvAndSeries:
         ]
         for p in paths:
             check_dot_document(p.read_text())
+
+
+def _chain_universe(n: int) -> UniverseGraph:
+    """n releases of one package, each updating and using the one before it,
+    the first using the last: n units, n use-edges (from n = 2 on) and
+    n - 1 update-edges, so every list of an export holds about n items."""
+    g = UniverseGraph()
+    for i in range(n):
+        g.add_unit("p<&>\"\\", str(i), i)
+    for i in range(1, n):
+        g.add_update_edge(i - 1, i)
+        g.add_use_edge(i, i - 1)
+    if n > 1:
+        g.add_use_edge(0, n - 1)
+    return g
+
+
+class TestChunkBoundaries:
+    N = export._CHUNK
+
+    @pytest.mark.parametrize("n", [0, 1, N - 1, N, 2 * N + 1])
+    def test_exports_match_references(self, n):
+        snap = _chain_universe(n).timed_snapshot(n)
+        docs = {
+            "json": (snapshot_to_json(snap), json_via_dumps(snap)),
+            "dot": (snapshot_to_dot(snap), reference_dot(snap)),
+            "graphml": (snapshot_to_graphml(snap), graphml_via_elementtree(snap)),
+        }
+        for fmt, (text, expected) in docs.items():
+            assert text == expected, fmt
+            buf = io.StringIO()
+            write_snapshot(buf, snap, fmt)
+            assert buf.getvalue() == text, fmt
+
+    @settings(deadline=None, max_examples=100)
+    @given(g=_universes(), at=st.integers(-6, 21))
+    def test_dot_equals_reference(self, g, at):
+        snap = g.timed_snapshot(at)
+        assert snapshot_to_dot(snap) == reference_dot(snap)
+
+    def test_graphml_holds_no_second_copy(self):
+        """Building a document holds the document and its chunks, not a
+        list of its lines or a copy with a newline appended."""
+        snap = random_universe(random.Random(11), 3000, p_edge=0.001).timed_snapshot(10**6)
+        tracemalloc.start()
+        try:
+            text = snapshot_to_graphml(snap)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(snap.units) == 3000 and len(snap.use_edges) > 8000
+        assert peak <= 2.5 * len(text), peak / len(text)

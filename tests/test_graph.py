@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -6,6 +8,7 @@ from pkgverse.errors import (
     DuplicateUnit,
     NameAxiomViolation,
     ParallelEdge,
+    PkgverseError,
     SelfLoop,
     SnapshotOrderError,
     TimeAnomaly,
@@ -449,3 +452,68 @@ def test_snapshots_are_safe_to_share_across_threads():
         t.join()
     assert errors == []
     assert len(snap.units) == 6  # the snapshot never saw the writer's units
+
+
+# A write: a unit (name, time), or a use / update edge between two handles,
+# any of which may be refused; or a point snapshot, which re-sorts the index.
+_writes = st.one_of(
+    st.tuples(st.just("unit"), st.sampled_from("abc"), st.integers(0, 9)),
+    st.tuples(st.sampled_from(["use", "update"]), st.integers(0, 14), st.integers(0, 14)),
+    st.tuples(st.just("read"), st.integers(-1, 10), st.just(0)),
+)
+
+
+def _write(g: UniverseGraph, op) -> None:
+    kind, x, y = op
+    try:
+        if kind == "unit":
+            g.add_unit(x, str(g.unit_count()), y)
+        elif kind == "read":
+            g.timed_snapshot(x)
+        else:
+            (g.add_use_edge if kind == "use" else g.add_update_edge)(x, y)
+    except PkgverseError:
+        pass
+
+
+class TestSweep:
+    @settings(deadline=None, max_examples=300)
+    @given(
+        before=st.lists(_writes, max_size=40),
+        instants=st.lists(st.integers(-1, 11), max_size=8).map(sorted),
+        during=st.lists(st.lists(_writes, max_size=5), max_size=8),
+    )
+    def test_sweep_equals_point_snapshots(self, before, instants, during):
+        """Writes between ``next()`` calls do not show in the sweep: it
+        answers for the graph as it stood at its first step."""
+        g = UniverseGraph()
+        for op in before:
+            _write(g, op)
+        got, expected, brute = [], [], []
+        for k, snap in enumerate(g.timed_snapshots(instants)):
+            if k == 0:
+                expected = [g.timed_snapshot(t) for t in instants]
+                brute = [brute_snapshot(g, t) for t in instants]
+            got.append(snap)
+            for op in during[k] if k < len(during) else ():
+                _write(g, op)
+        assert got == expected == brute
+
+    def test_empty_graph_and_duplicate_instants(self):
+        g = UniverseGraph()
+        assert list(g.timed_snapshots([])) == []
+        assert [s.units for s in g.timed_snapshots([0, 0, 5])] == [frozenset()] * 3
+        g, _ = sample_universe()
+        first, second = g.timed_snapshots([2, 2])
+        assert first == second == brute_snapshot(g, 2)
+
+    def test_decreasing_instants_raise(self):
+        g, _ = sample_universe()
+        sweep = g.timed_snapshots([3, 1])
+        assert next(sweep) == g.timed_snapshot(3)
+        with pytest.raises(SnapshotOrderError):
+            next(sweep)
+
+    def test_series_is_the_sweep(self):
+        g = random_universe(random.Random(3), 60)
+        assert snapshot_series(g, -2, 70, 9) == [brute_snapshot(g, t) for t in range(-2, 71, 9)]
