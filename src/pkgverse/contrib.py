@@ -23,6 +23,7 @@ from __future__ import annotations
 import re
 import statistics
 from dataclasses import dataclass, replace
+from typing import AbstractSet
 
 from .errors import ConflictingAlias, InvalidRange
 from .graph import UniverseGraph, TimedSnapshot
@@ -319,7 +320,7 @@ class DcGraph:
     """Package dependencies and developer contributions inside one window."""
 
     window: Window
-    dependency_edges: frozenset[tuple[str, str]]  # (client, library)
+    dependency_edges: AbstractSet[tuple[str, str]]  # (client, library)
     contributions: tuple[Contribution, ...]
     contribution_edges: frozenset[tuple[str, str]]  # (developer, package)
 

@@ -12,17 +12,20 @@ immutable subgraph of everything released at or before an instant, or by
 
 Time index: an edge joins every snapshot from its activation time
 ``max(t_src, t_dst)`` on. The graph keeps units ordered by (time, handle)
-and edges by activation time, sorting once on the first snapshot after a
-write, so a snapshot is a bisected prefix. A sweep walks these columns
-once: each snapshot's sets are the previous one's plus what became active
-in between (``frozenset.union`` copies a set with its stored hashes, so no
-prefix is hashed twice). The first package projection after a write
-indexes each (client, library) pair at its first activation time, so the
-live graph's projection at any instant is a bisected prefix too, with no
-snapshot built; writes and replay do no extra work. Snapshots
-build the lookup maps behind their read queries, their package projection
-and their export order from their own fields on first use, once each, and
-the queries themselves are shared with the live graph.
+and edges by activation time, sorting once on the first read after a
+write, so a snapshot is a bisected prefix. Its fields are read-only set
+views over those prefixes of the sorted columns, not copies, and
+:func:`diff` of two views over the same columns is the view between their
+ends. A view pins the whole lists it read, even once a re-sort has built
+new ones, and writes only extend those lists past its end, so a snapshot
+never changes but keeps its graph's columns alive. The
+first package projection after a write indexes each (client, library) pair
+at its first activation time, so the live graph's projection at any
+instant is a bisected prefix too, with no snapshot built; writes and
+replay do no extra work. Snapshots build the lookup maps behind their read
+queries, their package projection and their export order from their own
+fields on first use, once each, and the queries themselves are shared with
+the live graph.
 
 Structural rules enforced on every write:
 
@@ -44,8 +47,10 @@ writes, and snapshots are immutable values safe to share across threads.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections.abc import Set as AbstractSet
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, islice
 from operator import attrgetter
 from typing import Iterable, Iterator
 
@@ -107,11 +112,14 @@ class GrowthDelta:
     Real dumps violate this when metadata corrections introduce edges
     between pre-existing releases, so it is surfaced as a flag rather than
     enforced.
+
+    The fields are read-only sets: views of the time index between two
+    snapshots of it, else frozensets. Equality and hashing follow members.
     """
 
-    added_units: frozenset[SoftwareUnit]
-    added_use_edges: frozenset[UseEdge]
-    added_update_edges: frozenset[UpdateEdge]
+    added_units: AbstractSet[SoftwareUnit]
+    added_use_edges: AbstractSet[UseEdge]
+    added_update_edges: AbstractSet[UpdateEdge]
     strict_growth: bool
 
     def is_empty(self) -> bool:
@@ -145,6 +153,55 @@ class _Timeline:
             self.cols = ([times[i] for i in order], [values[i] for i in order])
             self.is_sorted = True
         return self.cols
+
+
+class _Span(AbstractSet):
+    """Read-only set of ``values[lo:hi]`` of one time-sorted column of
+    distinct values, keeping the column's ``times``. Set operators give
+    frozensets. Membership, ``==`` and ``hash`` read a frozenset of the
+    members, built on first need and published whole, except that spans of
+    one list compare by bounds and a prefix span given ``first`` (value ->
+    time it joined) tests membership there. Pickles and copies are that
+    frozenset, so they never carry the rest of the column."""
+
+    __slots__ = ("times", "values", "lo", "hi", "first", "_set")
+
+    def __init__(self, times: list[int], values: list, lo: int, hi: int, first: dict | None = None):
+        self.times, self.values, self.lo, self.hi, self.first = times, values, lo, hi, first
+        self._set: frozenset | None = None
+
+    _from_iterable = staticmethod(frozenset)
+
+    def _members(self) -> frozenset:
+        members = self._set
+        if members is None:
+            members = self._set = frozenset(self)
+        return members
+
+    def __len__(self) -> int:
+        return self.hi - self.lo
+
+    def __iter__(self):
+        return islice(self.values, self.lo, self.hi)
+
+    def __contains__(self, value) -> bool:
+        if self.first is None:
+            return value in self._members()
+        return self.hi > 0 and self.first.get(value, float("inf")) <= self.times[self.hi - 1]
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, _Span) and other.values is self.values:
+            return (self.lo, self.hi) == (other.lo, other.hi) or not (self or other)
+        return self._members() == other if isinstance(other, AbstractSet) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._members())
+
+    def __reduce__(self):
+        return frozenset, (list(self),)
+
+    def __repr__(self) -> str:
+        return repr(self._members())
 
 
 class _ReadQueries:
@@ -212,8 +269,8 @@ class UniverseGraph(_ReadQueries):
         self._unit_timeline = _Timeline()
         self._use_timeline = _Timeline()
         self._update_timeline = _Timeline()
-        # (use-edges indexed, first activation times, package pairs)
-        self._pair_index: tuple[int, list[int], list[tuple[str, str]]] = (0, [], [])
+        # (use-edges indexed, first activation times, package pairs, pair -> time)
+        self._pair_index: tuple[int, list[int], list[tuple[str, str]], dict] = (0, [], [], {})
         #: use-edges accepted despite the target postdating the source
         self.anomalies: list[UseEdge] = []
 
@@ -292,12 +349,12 @@ class UniverseGraph(_ReadQueries):
         return tuple(self._units)
 
     @property
-    def use_edges(self) -> frozenset[UseEdge]:
-        return frozenset(self._use_timeline.cols[1])
+    def use_edges(self) -> AbstractSet[UseEdge]:
+        return _Span(*self._use_timeline.sorted_cols(), 0, len(self._use_timeline.cols[1]))
 
     @property
-    def update_edges(self) -> frozenset[UpdateEdge]:
-        return frozenset(self._update_timeline.cols[1])
+    def update_edges(self) -> AbstractSet[UpdateEdge]:
+        return _Span(*self._update_timeline.sorted_cols(), 0, len(self._update_timeline.cols[1]))
 
     def unit_count(self) -> int:
         return len(self._units)
@@ -314,30 +371,28 @@ class UniverseGraph(_ReadQueries):
         Instants must not decrease (:class:`SnapshotOrderError`)."""
         cols = [tl.sorted_cols() for tl in (self._unit_timeline, self._use_timeline, self._update_timeline)]
         ends = [len(times) for times, _ in cols]  # bounds every bisect
-        starts, parts, last = [0, 0, 0], [frozenset()] * 3, None
+        his, last = [0, 0, 0], None
         for at in instants:
             if last is not None and at < last:
                 raise SnapshotOrderError(f"instant {at} after {last}")
             last = at
-            for i, (times, values) in enumerate(cols):
-                lo = starts[i]
-                hi = starts[i] = bisect_right(times, at, lo, ends[i])
-                if hi > lo:
-                    parts[i] = parts[i].union(values[lo:hi])
-            yield TimedSnapshot(at, *parts)
+            for i, (times, _) in enumerate(cols):
+                his[i] = bisect_right(times, at, his[i], ends[i])
+            yield TimedSnapshot(at, *(_Span(times, values, 0, hi) for (times, values), hi in zip(cols, his)))
 
-    def package_dependency_edges(self, at: int | None = None) -> frozenset[tuple[str, str]]:
+    def package_dependency_edges(self, at: int | None = None) -> AbstractSet[tuple[str, str]]:
         """Package projection of the use-edges active at ``at`` (of every
         use-edge when None): ``self.timed_snapshot(at).package_dependency_edges()``
-        without building the snapshot."""
-        count, times, pairs = self._pair_index
+        without building the snapshot. It is a view of a prefix of the pair
+        index whose membership test reads each pair's first activation."""
+        count, times, pairs, first = self._pair_index
         if count != len(self._use_timeline.cols[0]):
-            count, times, pairs = self._pair_index = self._index_pairs()
-        return frozenset(pairs if at is None else pairs[: bisect_right(times, at)])
+            count, times, pairs, first = self._pair_index = self._index_pairs()
+        return _Span(times, pairs, 0, len(pairs) if at is None else bisect_right(times, at), first)
 
-    def _index_pairs(self) -> tuple[int, list[int], list[tuple[str, str]]]:
-        """Each package pair at the activation time of its first use-edge,
-        in time order, with the number of use-edges indexed."""
+    def _index_pairs(self) -> tuple[int, list[int], list[tuple[str, str]], dict[tuple[str, str], int]]:
+        """The number of use-edges indexed, then each package pair's first
+        activation time and the pairs in that order, and pair -> that time."""
         times, edges = self._use_timeline.sorted_cols()
         units = self._units
         first: dict[tuple[str, str], int] = {}
@@ -345,7 +400,7 @@ class UniverseGraph(_ReadQueries):
             client, library = units[e.src].name, units[e.dst].name
             if client != library:
                 first.setdefault((client, library), t)
-        return len(edges), list(first.values()), list(first)
+        return len(edges), list(first.values()), list(first), first
 
     def _label(self, uid: int) -> str:
         u = self._units[uid]
@@ -371,13 +426,17 @@ class TimedSnapshot(_ReadQueries):
 
     Equality and hashing consider only the declared fields, so two
     snapshots are equal exactly when they contain the same units and
-    induced edges at the same instant.
+    induced edges at the same instant, whether the fields are views of the
+    graph's time index or frozensets.
+
+    A view-backed snapshot keeps the graph's whole column lists alive, even
+    once a re-sort replaced them; a pickle or copy keeps only its members.
     """
 
     at: int
-    units: frozenset[SoftwareUnit]
-    use_edges: frozenset[UseEdge]
-    update_edges: frozenset[UpdateEdge]
+    units: AbstractSet[SoftwareUnit]
+    use_edges: AbstractSet[UseEdge]
+    update_edges: AbstractSet[UpdateEdge]
 
     @cached_property
     def _by_uid(self) -> dict[int, SoftwareUnit]:
@@ -464,13 +523,21 @@ def diff(older: TimedSnapshot, newer: TimedSnapshot) -> GrowthDelta:
 
     Both snapshots must come from the same graph, with ``older.at`` not
     after ``newer.at``; monotonic growth then guarantees the delta contains
-    additions only.
+    additions only. Where both fields are views of one time-sorted column,
+    the addition is the view between their ends and nothing is subtracted.
     """
     if older.at > newer.at:
         raise SnapshotOrderError(f"older.at={older.at} > newer.at={newer.at}")
-    added_units = newer.units - older.units
-    added_use = newer.use_edges - older.use_edges
-    added_upd = newer.update_edges - older.update_edges
+    added_units = _added(older.units, newer.units)
+    added_use = _added(older.use_edges, newer.use_edges)
+    added_upd = _added(older.update_edges, newer.update_edges)
     new_uids = {u.uid for u in added_units}
-    strict = all(e.src in new_uids or e.dst in new_uids for e in added_use | added_upd)
+    strict = all(e.src in new_uids or e.dst in new_uids for e in chain(added_use, added_upd))
     return GrowthDelta(added_units, added_use, added_upd, strict)
+
+
+def _added(old: AbstractSet, new: AbstractSet) -> AbstractSet:
+    """``new - old``, as a view when both are views of one column from the same start."""
+    if isinstance(old, _Span) and isinstance(new, _Span) and old.values is new.values and old.lo == new.lo:
+        return _Span(new.times, new.values, min(old.hi, new.hi), new.hi)
+    return frozenset(new) - frozenset(old)

@@ -1,4 +1,7 @@
+import copy
+import pickle
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +19,7 @@ from pkgverse.errors import (
     UnknownUnit,
 )
 from pkgverse.fixtures import sample_universe, sample_universe_extended
-from pkgverse.graph import GrowthDelta, UniverseGraph, UseEdge, diff
+from pkgverse.graph import GrowthDelta, TimedSnapshot, UniverseGraph, UseEdge, diff
 from pkgverse.sampling import snapshot_series
 
 from conftest import random_universe
@@ -517,3 +520,111 @@ class TestSweep:
     def test_series_is_the_sweep(self):
         g = random_universe(random.Random(3), 60)
         assert snapshot_series(g, -2, 70, 9) == [brute_snapshot(g, t) for t in range(-2, 71, 9)]
+
+
+def _frozen(snap):
+    return (snap.units, snap.use_edges, snap.update_edges)
+
+
+def _same_set(view, expected: frozenset) -> None:
+    assert view == expected and expected == view
+    assert not (view != expected or expected != view)
+    assert hash(view) == hash(expected) and len(view) == len(expected)
+    assert set(view) == expected
+
+
+class TestSnapshotViews:
+    """Snapshot and delta fields are views of the graph's time index; they
+    must behave as the frozensets of their members."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(rounds=st.lists(
+        st.tuples(st.lists(_writes, max_size=12), st.lists(st.integers(-1, 11), max_size=5).map(sorted)),
+        max_size=5,
+    ))
+    def test_views_equal_brute_force_sets(self, rounds):
+        g = UniverseGraph()
+        taken = []
+        for writes, instants in rounds:
+            for op in writes:
+                _write(g, op)
+            snaps = list(g.timed_snapshots(instants))
+            brutes = [brute_snapshot(g, t) for t in instants]
+            for snap, brute in zip(snaps, brutes):
+                assert snap == brute and brute == snap and hash(snap) == hash(brute)
+                for view, expected in zip(_frozen(snap), _frozen(brute)):
+                    _same_set(view, expected)
+                pairs = brute.package_dependency_edges()
+                live = g.package_dependency_edges(snap.at)
+                _same_set(live, pairs)
+                names = sorted(g.names())
+                assert {(a, b) for a in names for b in names if (a, b) in live} == pairs
+            for (s1, b1), (s2, b2) in zip(zip(snaps, brutes), zip(snaps[1:], brutes[1:])):
+                got, expected = diff(s1, s2), diff(b1, b2)
+                assert got == expected and hash(got) == hash(expected)
+                for field in ("added_units", "added_use_edges", "added_update_edges"):
+                    _same_set(getattr(got, field), getattr(expected, field))
+                assert s1.is_subgraph_of(s2) and b1.is_subgraph_of(b2)
+                assert s2.is_subgraph_of(s1) == b2.is_subgraph_of(b1)
+            taken += zip(snaps, brutes)
+        for snap, brute in taken:  # later writes never show in a snapshot
+            assert snap == brute
+        for (s1, b1), (s2, b2) in zip(taken, taken[1:]):
+            assert s1.is_subgraph_of(s2) == b1.is_subgraph_of(b2)
+            if s1.at <= s2.at:
+                assert diff(s1, s2) == diff(b1, b2)
+
+    def test_set_operators_give_frozensets(self):
+        g, _ = sample_universe()
+        older, newer = g.timed_snapshot(2), g.timed_snapshot(4)
+        for op in ("__or__", "__and__", "__sub__", "__xor__"):
+            got = getattr(newer.units, op)(older.units)
+            assert type(got) is frozenset
+            assert got == getattr(frozenset(newer.units), op)(frozenset(older.units))
+        assert frozenset(newer.units) - older.units == newer.units - frozenset(older.units)
+        assert repr(older.units) == repr(frozenset(older.units))
+
+    def test_older_units_written_later_do_not_show(self):
+        g = random_universe(random.Random(5), 40)
+        snap = g.timed_snapshot(20)
+        before = tuple(map(frozenset, _frozen(snap)))
+        new = [g.add_unit("late", str(i), i) for i in range(10)]  # all older than 20
+        g.add_use_edge(new[1], new[0])
+        g.add_update_edge(new[0], new[1])
+        g.timed_snapshot(20)  # re-sorts the time index into new lists
+        assert _frozen(snap) == before
+        assert snap == TimedSnapshot(20, *before) and hash(snap) == hash(TimedSnapshot(20, *before))
+        assert g.timed_snapshot(20) != snap
+
+    def test_pickle_and_deepcopy_round_trip(self):
+        g = random_universe(random.Random(6), 60)
+        snap = g.timed_snapshot(30)
+        for copied in (pickle.loads(pickle.dumps(snap)), copy.deepcopy(snap)):
+            assert copied == snap and hash(copied) == hash(snap)
+            assert all(type(field) is frozenset for field in _frozen(copied))
+        delta = diff(g.timed_snapshot(10), snap)
+        assert pickle.loads(pickle.dumps(delta)) == delta
+
+    def test_pickle_never_carries_the_rest_of_the_column(self):
+        g = UniverseGraph()
+        a, b = g.add_unit("a", "1", 1), g.add_unit("b", "1", 1)
+        g.add_use_edge(a, b)
+        empty = g.timed_snapshot(0)
+        for i in range(10_000):
+            g.add_unit("c", str(i), 2)
+        assert not empty.units and len(pickle.dumps(empty)) < 1024
+
+    def test_series_and_diffs_hold_no_copy_of_the_graph(self):
+        g = random_universe(random.Random(7), 5_000, p_edge=0.0004)
+        g.timed_snapshot(0)  # sort the time index before measuring
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            series = snapshot_series(g, 0, 5_000, 500)
+            diffs = [diff(a, b) for a, b in zip(series, series[1:])]
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(series) == 11 and len(diffs) == 10
+        assert sum(len(d.added_units) for d in diffs) + len(series[0].units) == len(series[-1].units)
+        assert held <= 64 * 1024, held
