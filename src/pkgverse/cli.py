@@ -40,19 +40,20 @@ from .contrib import (
     merge_identities,
     window_partition,
 )
-from .errors import CsvError, InvalidTimestamp, PkgverseError, UnknownRoot
+from .errors import CsvError, InvalidTimestamp, ParseError, PkgverseError, UnknownRoot
 from .eventlog import EventLog, replay
 from .ingest import (
     ColumnMap,
     Quarantined,
     RegistryInfo,
+    contribution_records,
     load_registry_table,
     manifest_events,
     parse_contribution_events,
     parse_decimal,
     parse_manifest,
-    parse_registry_dump,
     parse_timestamp,
+    registry_dump_records,
 )
 from .resolve import build_tree_at, detect_conflicts, flatten_tree, iter_lock_entries, tree_to_dict
 from .sampling import METRICS, SampleSpec, activity_report, chain_breakage, sample_top_k, series_instants
@@ -129,13 +130,16 @@ def _load_contribution_file(path, aliases) -> tuple[list[Contribution], list[Qua
     is reported on stderr."""
     contributions: list[Contribution] = []
     quarantined: list[Quarantined] = []
-    with open(path, encoding="utf-8-sig") as fh:
-        for item in parse_contribution_events(fh, source=str(path)):
-            if isinstance(item, Quarantined):
-                quarantined.append(item)
-                print(f"quarantined {item.source}:{item.line_no}: {item.reason}", file=sys.stderr)
-            else:
-                contributions.append(Contribution.from_payload(item.payload))
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            for item in parse_contribution_events(fh, source=str(path)):
+                if isinstance(item, Quarantined):
+                    quarantined.append(item)
+                    print(f"quarantined {item.source}:{item.line_no}: {item.reason}", file=sys.stderr)
+                else:
+                    contributions.append(Contribution.from_payload(item.payload))
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: {exc}") from None
     developers = merge_identities([(c.developer, "") for c in contributions], aliases)
     return canonicalize_contributions(contributions, developers), quarantined
 
@@ -152,27 +156,29 @@ def cmd_ingest(args) -> int:
             if isinstance(item, Quarantined):
                 quarantined.append(item)
             else:
-                counts[item.kind] += 1
+                counts[item[0]] += 1  # an event's or a record's kind
                 yield item
 
     with EventLog(args.log) as log:
         for path in args.inputs:
             path = Path(path)
-            if args.kind == "manifest":
-                manifest = parse_manifest(
-                    path.read_text(encoding="utf-8-sig"),
-                    sections=("dependencies", "devDependencies") if args.include_dev else ("dependencies",),
-                )
-                time = args.time if args.time is not None else 0
-                log.append_events(good(manifest_events(manifest, time)))
-                continue
-            with path.open(encoding="utf-8-sig", newline="") as fh:  # -sig: drop a leading BOM
-                if args.kind == "dump":
-                    mapping = _column_map(args.columns)
-                    stream = parse_registry_dump(fh, mapping, source=str(path))
-                else:
-                    stream = parse_contribution_events(fh, source=str(path))
-                log.append_events(good(stream))
+            try:
+                if args.kind == "manifest":
+                    manifest = parse_manifest(
+                        path.read_text(encoding="utf-8-sig"),
+                        sections=("dependencies", "devDependencies") if args.include_dev else ("dependencies",),
+                    )
+                    time = args.time if args.time is not None else 0
+                    log.append_events(good(manifest_events(manifest, time)))
+                    continue
+                with path.open(encoding="utf-8-sig", newline="") as fh:  # -sig: drop a leading BOM
+                    if args.kind == "dump":
+                        records = registry_dump_records(fh, _column_map(args.columns), source=str(path))
+                    else:
+                        records = contribution_records(fh, source=str(path))
+                    log.append_records(good(records))
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"{path}: {exc}") from None
     summary = ", ".join(f"{n} {kind}" for kind, n in sorted(counts.items())) or "0 events"
     print(f"appended {summary}; {len(quarantined)} quarantined", file=sys.stderr)
     if quarantined:

@@ -21,19 +21,19 @@ and everything that reads or writes log lines derives from it; one event per lin
 ``seq`` is assigned by the log on append, never by the caller, so a single
 log is gap-free. Temporal queries key on release time.
 
-The log line is the canonical form of an event: one encoder checks each
-field as it writes it, and :func:`validate_payload` returns what a
-payload's line decodes to, so it cannot disagree with the bytes appended.
+The log line is the canonical form of an event: one encoder per kind, over
+its field values, checks each value as it writes it. Payloads are unpacked
+into it, and :func:`validate_payload` returns what a payload's line decodes to.
 
-Replay reads lines as the templates write them (ASCII text without
-escapes, ints of at most 100 digits) with one regex derived from the same
-table. Any other valid spelling (escapes, non-ASCII text, other key orders,
-whitespace, extra fields) is decoded by ``json.loads`` and checked by the
-line encoder; both give the same graph and quarantine.
+Replay reads lines as the encoders write them (ASCII text without escapes,
+ints of at most 100 digits) with one regex derived from the same table and
+applies the match's fields. Any other valid spelling (escapes, non-ASCII
+text, other key orders, whitespace, extra fields) is decoded by
+``json.loads`` and checked by the encoder; both give the same result.
 
 A record commits with its trailing newline. ``append`` writes and flushes
-one line; ``append_events`` writes its lines in chunks of whole lines and
-flushes once per chunk, so a batch reaches the file before the call
+one line; ``append_events`` and ``append_records`` write in chunks of whole
+lines, flushed once each, so a batch reaches the file before the call
 returns but not line by line. One process writes a given log at a time;
 readers may stream concurrently and see whole records plus, at most, a
 torn final fragment of a write in progress or an interrupted one. Replay
@@ -93,12 +93,15 @@ class EcosystemEvent(NamedTuple):
 
 @dataclass(frozen=True, slots=True)
 class _Shape:
-    """What one field's value must be on the wire, and its text codec."""
+    """What one field's value must be on the wire, and its text codec; the
+    encoders inline ``rule`` and ``text``, Python expressions of a leaf ``{0}``."""
 
     what: str  # completes "field 'x' must be ..." in a SchemaError
-    dump: Callable[[object], str | None]  # the JSON text of a value that fits, else None
+    rule: str  # true for a leaf that fits; None fits no rule
+    text: str  # the JSON text of a leaf that fits
     pattern: bytes  # regex of the canonical JSON text, one group around what load reads
     load: Callable[[bytes], object]  # the value json.loads reads from that group
+    arity: int = 0  # leaves in the field's list; 0 when the field is one leaf
 
 
 # Strings go through the C escaper json.dumps uses with ensure_ascii=True, so
@@ -107,40 +110,24 @@ _esc = json.encoder.encode_basestring_ascii
 # The content of a JSON string that json.loads reads verbatim: ASCII without
 # quotes, backslashes or control characters. Replay reads other strings as JSON.
 _RAW = rb'[^"\\\x00-\x1f\x80-\xff]+'
+_STR = "isinstance({0}, str) and {0}"
 
-
-def _dump_ref(v):
-    if isinstance(v, (list, tuple)) and len(v) == 2:
-        name, release = v
-        if isinstance(name, str) and isinstance(release, str) and name and release:
-            return "[%s,%s]" % (_esc(name), _esc(release))
-    return None
-
-
-def _dump_name(v):
-    if isinstance(v, (list, tuple)) and len(v) == 1 and isinstance(v[0], str) and v[0]:
-        return "[%s]" % _esc(v[0])
-    return None
-
-
-_TEXT = _Shape("a non-empty string", lambda v: _esc(v) if isinstance(v, str) and v else None,
-               b'"(%s)"' % _RAW, bytes.decode)
+_TEXT = _Shape("a non-empty string", _STR, "_esc({0})", b'"(%s)"' % _RAW, bytes.decode)
 # longer ints are read as JSON, under json.loads' own limit on int digits
-_INT = _Shape("an integer", lambda v: int.__repr__(v) if type(v) is not bool and isinstance(v, int) else None,
+_INT = _Shape("an integer", "type({0}) is not bool and isinstance({0}, int)", "int.__repr__({0})",
               rb"(0|-?[1-9][0-9]{0,99})", int)
-_BOOL = _Shape("true or false", lambda v: ("true" if v else "false") if type(v) is bool else None,
-               rb"(true|false)", b"true".__eq__)
-_REF = _Shape("a [name, release] pair", _dump_ref, rb'\["(%s","%s)"\]' % (_RAW, _RAW),
-              lambda b: b.decode().split('","'))
-_NAME = _Shape("a one-element [name] list", _dump_name, rb'\["(%s)"\]' % _RAW, lambda b: [b.decode()])
-_CTYPE = _Shape("one of " + ", ".join(CONTRIBUTION_TYPES),
-                lambda v: _esc(v) if isinstance(v, str) and v in CONTRIBUTION_TYPES else None,
-                b'"(%s)"' % b"|".join(t.encode() for t in CONTRIBUTION_TYPES), bytes.decode)
+_BOOL = _Shape("true or false", "type({0}) is bool", '("true" if {0} else "false")', rb"(true|false)",
+               b"true".__eq__)
+_REF = _Shape("a [name, release] pair", _STR, "_esc({0})", rb'\["(%s","%s)"\]' % (_RAW, _RAW),
+              lambda b: b.decode().split('","'), 2)
+_NAME = _Shape("a one-element [name] list", _STR, "_esc({0})", rb'\["(%s)"\]' % _RAW, lambda b: [b.decode()], 1)
+_CTYPE = _Shape("one of " + ", ".join(CONTRIBUTION_TYPES), "isinstance({0}, str) and {0} in CONTRIBUTION_TYPES",
+                "_esc({0})", b'"(%s)"' % b"|".join(t.encode() for t in CONTRIBUTION_TYPES), bytes.decode)
 
 # The wire schema: each kind's fields in line order, with their shapes. Every
-# field is required. Validation, the line templates, the line regex and replay
-# read this table; the event constructors spell its keys out, in its order (a
-# test holds them to it).
+# field is required. The encoders, the line regex, replay and the error
+# messages read this table; the event constructors spell its keys out, in its
+# order (a test holds them to it).
 SCHEMA = {
     "unit": (("name", _TEXT), ("release", _TEXT), ("time", _INT)),
     "use": (("from", _REF), ("to", _REF)),
@@ -151,48 +138,110 @@ SCHEMA = {
     "developer-alias": (("canonical", _TEXT), ("alias", _TEXT)),
 }
 _FIELDS = {kind: tuple(key for key, _ in rows) for kind, rows in SCHEMA.items()}
-_HEAD = '{"v":%d,"seq":%%d,"kind":' % SCHEMA_VERSION  # then one %s slot per field in the templates
-_TEMPLATES = {
-    kind: _HEAD + _esc(kind) + "".join(f",{_esc(k)}:%s" for k in keys) + "}\n" for kind, keys in _FIELDS.items()
+_HEAD = '{"v":%d,"seq":' % SCHEMA_VERSION  # then the seq, a comma and the line body
+_BODIES = {  # each kind's line body, with one %s slot per field
+    kind: '"kind":' + _esc(kind) + "".join(f",{_esc(k)}:%s" for k in keys) + "}\n" for kind, keys in _FIELDS.items()
+}
+_LEAF_FIELDS = {  # each kind's (key, shape) per leaf value: two for a [name, release] field
+    kind: tuple((key, shape) for key, shape in rows for _ in range(shape.arity or 1)) for kind, rows in SCHEMA.items()
 }
 
 
+def _encoder(kind: str):
+    """The function from a kind's leaf values, in SCHEMA order, to its line
+    body, newline included; or, when a leaf does not fit its shape's rule,
+    to the index of the first leaf that does not."""
+    leaves = [(f"v{i}", shape) for i, (_, shape) in enumerate(_LEAF_FIELDS[kind])]
+    checks = "".join(f"{i} if not ({shape.rule.format(v)}) else " for i, (v, shape) in enumerate(leaves))
+    texts = ", ".join(shape.text.format(v) for v, shape in leaves)
+    template = _BODIES[kind] % tuple("[%s]" % ",".join(["%s"] * s.arity) if s.arity else "%s" for _, s in SCHEMA[kind])
+    return eval(f"lambda {', '.join(v for v, _ in leaves)}: {checks}{template!r} % ({texts},)", globals())
+
+
+_ENCODERS = {kind: (_encoder(kind), len(leaves)) for kind, leaves in _LEAF_FIELDS.items()}  # and leaf counts
+
+
 def _canonical_line():
-    """One regex for the template lines without escapes, each slot replaced
-    by its shape's pattern: the seq in group 1, then one alternative per kind.
-    Keyed by each kind's last group (a match's ``lastindex``): the kind, its
-    first group and its loads."""
+    """One regex for the lines the encoders write without escapes, each slot
+    replaced by its shape's pattern: the seq in group 1, then one alternative
+    per kind. Keyed by each kind's last group (a match's ``lastindex``): the
+    kind, its first group and its loads."""
     kinds, by_last, last = [], {}, 1
     for kind, rows in SCHEMA.items():
-        literals = re.escape(_TEMPLATES[kind][len(_HEAD):-1]).encode().split(b"%s")
+        literals = re.escape(_BODIES[kind][:-1]).encode().split(b"%s")
         kinds.append(b"".join(text + shape.pattern for text, (_, shape) in zip(literals, rows)) + literals[-1])
-        by_last[last + len(rows)] = (kind, last, tuple(shape.load for _, shape in rows))
+        by_last[last + len(rows)] = (kind, last + 1, tuple(shape.load for _, shape in rows))
         last += len(rows)
-    head = re.escape(_HEAD).encode().replace(b"%d", _INT.pattern)
+    head = re.escape(_HEAD).encode() + _INT.pattern + b","
     return re.compile(head + b"(?:%s)\n?" % b"|".join(kinds)), by_last
 
 
 _CANONICAL, _BY_LAST_GROUP = _canonical_line()
 
 
-def _line(seq: int, kind: str, payload: dict) -> str:
-    """The log line of a payload, newline included. This is the wire
-    schema's one check: each field is checked and encoded by one call of
-    its shape's ``dump``, and a field that does not fit raises SchemaError."""
-    rows = SCHEMA.get(kind) if isinstance(kind, str) else None
-    if rows is None:
+def _schema_error(kind: str, leaf: int, payload: dict) -> SchemaError:
+    """The error for the field of ``payload`` that holds a kind's ``leaf``."""
+    key, shape = _LEAF_FIELDS[kind][leaf]
+    if key not in payload:
+        return SchemaError(f"missing field {key!r}")
+    return SchemaError(f"field {key!r} must be {shape.what}, got {payload[key]!r:.60}")
+
+
+def _payload(kind: str, leaves) -> dict:
+    """The payload a kind's leaf values spell, unchecked."""
+    payload, at = {}, 0
+    for key, shape in SCHEMA[kind]:
+        payload[key] = list(leaves[at:at + shape.arity]) if shape.arity else leaves[at]
+        at += shape.arity or 1
+    return payload
+
+
+def _encoder_of(kind: str):
+    """A kind's encoder and its number of leaf values."""
+    if not (isinstance(kind, str) and kind in _ENCODERS):
         raise SchemaError(f"unknown event kind {kind!r}")
+    return _ENCODERS[kind]
+
+
+def _body(kind: str, payload: dict) -> str:
+    """The line body of a payload, the wire schema's one check (SchemaError).
+    A field that is absent, or not a list of its arity, gives None leaves,
+    so the kind's encoder finds the first field that does not fit."""
+    encode, _ = _encoder_of(kind)
     if not isinstance(payload, dict):
         raise SchemaError("payload must be an object")
-    args = [seq]
-    for key, shape in rows:
-        text = shape.dump(payload.get(key))  # None, absent or not, never fits
-        if text is None:
-            if key not in payload:
-                raise SchemaError(f"missing field {key!r}")
-            raise SchemaError(f"field {key!r} must be {shape.what}, got {payload[key]!r:.60}")
-        args.append(text)
-    return _TEMPLATES[kind] % tuple(args)
+    leaves = []
+    for key, shape in SCHEMA[kind]:
+        value = payload.get(key)
+        if not shape.arity:
+            leaves.append(value)
+        else:
+            leaves += value if isinstance(value, (list, tuple)) and len(value) == shape.arity else [None] * shape.arity
+    body = encode(*leaves)
+    if type(body) is int:
+        raise _schema_error(kind, body, payload)
+    return body
+
+
+def _record_bodies(records):
+    """The line bodies of ``(kind, leaf values)`` records, each checked (SchemaError)."""
+    for record in records:
+        try:
+            kind, leaves = record
+        except (TypeError, ValueError):
+            raise SchemaError(f"a record must be a (kind, leaf values) pair, got {record!r:.60}") from None
+        encode, n = _encoder_of(kind)
+        if not (isinstance(leaves, (list, tuple)) and len(leaves) == n):
+            raise SchemaError(f"a {kind} record holds {n} leaf values, got {leaves!r:.60}")
+        body = encode(*leaves)
+        if type(body) is int:
+            raise _schema_error(kind, body, _payload(kind, leaves))
+        yield body
+
+
+def _line(seq: int, kind: str, payload: dict) -> str:
+    """The log line of a payload, newline included."""
+    return f"{_HEAD}{seq},{_body(kind, payload)}"
 
 
 def validate_payload(kind: str, payload: dict) -> dict:
@@ -205,7 +254,10 @@ def validate_payload(kind: str, payload: dict) -> dict:
 
 def _decode(line: bytes) -> dict:
     """The JSON object a log line holds; ValueError when it holds none."""
-    record = json.loads(line.decode("utf-8"))
+    try:
+        record = json.loads(line.decode("utf-8"))
+    except RecursionError as exc:  # nested too deep to read
+        raise ValueError(exc) from None
     if not isinstance(record, dict):
         raise ValueError("not a JSON object")
     return record
@@ -268,9 +320,9 @@ class EventLog:
     """A single NDJSON log file, opened lazily for appends.
 
     The append handle stays open across calls; earlier bytes are never
-    rewritten. ``append`` flushes its line before returning,
-    ``append_events`` flushes once per chunk of whole lines. Use as a
-    context manager or call :meth:`close` when done writing.
+    rewritten. ``append`` flushes its line before returning, the batch
+    writers once per chunk of whole lines. Use as a context manager or
+    call :meth:`close` when done writing.
     """
 
     def __init__(self, path):
@@ -323,20 +375,27 @@ class EventLog:
 
     def append_events(self, events) -> int:
         """Validate and append many events; returns how many were written.
+        Payloads are unpacked into the encoders :meth:`append_records` uses."""
+        return self._append(_body(event.kind, event.payload) for event in events)
 
+    def append_records(self, records) -> int:
+        """Validate and append ``(kind, leaf values)`` records, such as
+        ``("use", ("a", "1", "b", "2"))``; returns how many were written.
         Lines are written in chunks of whole lines, each flushed once. An
-        invalid event raises :class:`SchemaError` after the lines before it
-        are written.
-        """
+        invalid record raises :class:`SchemaError` after the lines before it
+        are written."""
+        return self._append(_record_bodies(records))
+
+    def _append(self, bodies) -> int:
+        """Number and write line bodies, each checked as it is made."""
         n = 0
         chunk: list[str] = []
         size = 0
         try:
-            for event in events:
-                if self._next_seq is None:  # an invalid first event leaves the file untouched
-                    _line(0, event.kind, event.payload)
+            for body in bodies:
+                if self._next_seq is None:  # an invalid first record has left the file untouched
                     self._next_seq = self._scan_last_seq() + 1
-                line = _line(self._next_seq + len(chunk), event.kind, event.payload)
+                line = f"{_HEAD}{self._next_seq + len(chunk)},{body}"
                 chunk.append(line)
                 size += len(line)
                 n += 1
@@ -402,22 +461,9 @@ class ReplayResult:
     quarantine: list[QuarantinedEvent] = field(default_factory=list)
 
 
-def _apply(result: ReplayResult, kind: str, values) -> None:
-    """Apply one event from its canonical field values, in SCHEMA order."""
-    graph = result.graph
-    if kind == "unit":
-        graph.add_unit(*values)
-    elif kind == "use" or kind == "update":
-        src_ref, dst_ref = values
-        src, dst = graph.find(*src_ref), graph.find(*dst_ref)
-        if src is None or dst is None:
-            missing = src_ref if src is None else dst_ref
-            raise UnknownUnit(f"unresolvable reference {missing[0]}@{missing[1]}")
-        (graph.add_use_edge if kind == "use" else graph.add_update_edge)(src, dst)
-    elif kind == "contribution":
-        result.contributions.append(dict(zip(_FIELDS[kind], values)))
-    else:
-        result.aliases.append(tuple(values))
+def _loaded(m: re.Match, first: int, loads) -> list:
+    """The field values json.loads reads from a canonical line's match."""
+    return [load(g) for load, g in zip(loads, m.groups()[first - 1:])]
 
 
 def replay(
@@ -434,13 +480,13 @@ def replay(
     """
     path = log.path if isinstance(log, EventLog) else Path(log)
     result = into if into is not None else ReplayResult(graph=UniverseGraph(strict=strict))
+    graph = result.graph
     with open(path, "rb") as fh:
         for line_no, line in enumerate(fh, start=1):
             m = _CANONICAL.fullmatch(line)
-            if m is not None:  # as the templates write it: the fields are read off the match
+            if m is not None:  # as the encoders write it: the fields are read off the match
                 kind, first, loads = _BY_LAST_GROUP[m.lastindex]
-                seq, record = int(m[1]), None
-                values = [load(g) for load, g in zip(loads, m.groups()[first:m.lastindex])]
+                record = None
             else:
                 try:
                     record = _decode(line)
@@ -452,13 +498,33 @@ def replay(
                     break
                 seq, kind = record.get("seq"), record.get("kind")
                 seq = seq if type(seq) is int else None
-            try:
-                if record is not None:  # checked by the encoder, applied as decoded
+            try:  # a decoded line is checked by the encoders; a canonical one fits them
+                if record is not None:
                     _line(0, kind, record)
-                    values = [record[key] for key in _FIELDS[kind]]
-                _apply(result, kind, values)
+                if kind == "unit":
+                    if record is None:
+                        graph.add_unit(m[first].decode(), m[first + 1].decode(), int(m[first + 2]))
+                    else:
+                        graph.add_unit(record["name"], record["release"], record["time"])
+                elif kind == "use" or kind == "update":
+                    if record is None:
+                        src_ref = tuple(m[first].decode().split('","'))
+                        dst_ref = tuple(m[first + 1].decode().split('","'))
+                    else:
+                        src_ref, dst_ref = tuple(record["from"]), tuple(record["to"])
+                    src, dst = graph._by_key.get(src_ref), graph._by_key.get(dst_ref)
+                    if src is None or dst is None:
+                        raise UnknownUnit("unresolvable reference %s@%s" % (src_ref if src is None else dst_ref))
+                    (graph.add_use_edge if kind == "use" else graph.add_update_edge)(src, dst)
+                else:
+                    values = _loaded(m, first, loads) if record is None else [record[k] for k in _FIELDS[kind]]
+                    if kind == "contribution":
+                        result.contributions.append(dict(zip(_FIELDS[kind], values)))
+                    else:
+                        result.aliases.append(tuple(values))
             except PkgverseError as exc:
                 if record is None:  # the record json.loads would give
+                    seq, values = int(m[1]), _loaded(m, first, loads)
                     record = {"v": SCHEMA_VERSION, "seq": seq, "kind": kind, **dict(zip(_FIELDS[kind], values))}
                 result.quarantine.append(QuarantinedEvent(line_no, seq, type(exc).__name__, str(exc), record))
     return result

@@ -297,7 +297,10 @@ class UniverseGraph(_ReadQueries):
 
     def add_use_edge(self, src: int, dst: int) -> UseEdge:
         """Record that ``src`` uses ``dst``."""
-        t_src, t_dst = self.unit(src).time, self.unit(dst).time
+        units = self._units
+        if not (isinstance(src, int) and 0 <= src < len(units) and isinstance(dst, int) and 0 <= dst < len(units)):
+            self.unit(src), self.unit(dst)  # the UnknownUnit of the first bad handle
+        t_src, t_dst = units[src].time, units[dst].time
         if src == dst:
             raise SelfLoop(f"unit {self._label(src)} cannot use itself")
         if dst in self._use_out.get(src, ()):
@@ -316,7 +319,10 @@ class UniverseGraph(_ReadQueries):
 
     def add_update_edge(self, src: int, dst: int) -> UpdateEdge:
         """Record that ``dst`` is the immediate successor release of ``src``."""
-        u, v = self.unit(src), self.unit(dst)
+        units = self._units
+        if not (isinstance(src, int) and 0 <= src < len(units) and isinstance(dst, int) and 0 <= dst < len(units)):
+            self.unit(src), self.unit(dst)  # the UnknownUnit of the first bad handle
+        u, v = units[src], units[dst]
         if u.name != v.name:
             raise NameAxiomViolation(f"{self._label(src)} => {self._label(dst)}")
         if not u.time < v.time:

@@ -10,7 +10,9 @@ plus the bundled table describing well-known package registries. Parsers
 are streaming and pure per record: a registry dump is converted row by row
 with memory bounded by the row, never the file. Records that cannot be
 converted are yielded as :class:`Quarantined` items so a single bad row
-cannot poison a large ingest.
+cannot poison a large ingest. Dumps and contribution files each have one
+walker, which holds every row rule of its input, with an event view
+(``parse_*``) and a record view (``*_records``) for ``EventLog.append_records``.
 
 Use-edges in the event schema name a concrete ``(name, release)`` target.
 Dependency declarations, however, carry *ranges*; these are emitted
@@ -44,7 +46,9 @@ __all__ = [
     "parse_manifest",
     "manifest_to_json",
     "manifest_events",
+    "registry_dump_records",
     "parse_registry_dump",
+    "contribution_records",
     "parse_contribution_events",
     "load_registry_table",
     "registry_info",
@@ -73,7 +77,10 @@ def parse_decimal(text: str) -> int | None:
     None. ``int()`` also reads underscores, a ``+``, surrounding whitespace
     and non-ASCII digits; none of those is a number here."""
     digits = text[1:] if text[:1] == "-" else text
-    return int(text) if digits.isascii() and digits.isdigit() else None
+    try:
+        return int(text) if digits.isascii() and digits.isdigit() else None
+    except ValueError:  # more digits than int() converts
+        return None
 
 
 def parse_timestamp(value) -> int:
@@ -138,7 +145,7 @@ def parse_manifest(data: bytes | str, sections: tuple[str, ...] = ("dependencies
         data = data.decode("utf-8-sig")  # -sig: drop a leading BOM
     try:
         doc = json.loads(data, object_pairs_hook=_reject_duplicate_keys)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
         raise ParseError(f"malformed JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ParseError("manifest must be a JSON object")
@@ -208,59 +215,78 @@ class ColumnMap:
     dep_requirement: str = "dep_requirement"
 
 
-def parse_registry_dump(reader, mapping: ColumnMap | None = None, source: str = "<dump>"):
-    """Stream a registry dump CSV into events.
+def registry_dump_records(reader, mapping: ColumnMap | None = None, source: str = "<dump>"):
+    """Walk a registry dump CSV, the one place of its row rules: yields
+    :class:`Quarantined` items and records for
+    :meth:`~pkgverse.eventlog.EventLog.append_records`.
 
-    Every row bearing a new (name, version) yields a unit event; every row
-    with a dependency column yields a use event. Consecutive rows for the
-    same (name, version) — the usual layout for multi-dependency packages —
-    emit the unit once. Blank lines are skipped. Rows with an unparsable
-    timestamp or a missing name or version, and rows longer than the header,
-    are yielded as :class:`Quarantined` items; a shorter row reads its
-    missing cells as empty. Raises :class:`CsvError` when there is no header
-    or it lacks a required column.
+    Every row bearing a new (name, version) yields a ``("unit", (name,
+    version, time))`` record; every row with a dependency column yields a
+    ``("use", (name, version, dep_name, requirement))`` record, with ``*``
+    for a blank requirement. Consecutive rows for the same (name, version),
+    the usual layout for multi-dependency packages, yield the unit once.
+    Blank lines are skipped. Rows with an unparsable timestamp or a missing name
+    or version, and rows longer than the header, are yielded as
+    :class:`Quarantined` items; a shorter row reads its missing cells as
+    empty. Raises :class:`CsvError` when there is no header or it lacks a
+    required column, or when a row cannot be read as CSV.
 
     Rows are numbered from 2, counting the non-blank ones, so a quoted field
     with a newline does not shift the numbers of later rows.
     """
     mapping = mapping or ColumnMap()
-    rows = filter(None, csv.reader(reader))  # a blank line reads as []
-    header = next(rows, None)
-    if header is None:
-        raise CsvError(f"{source}: empty file, expected a header row")
-    index = {column: i for i, column in enumerate(header)}  # a repeated name reads its last cell
-    for column in (mapping.name, mapping.version, mapping.released_at):
-        if column not in index:
-            raise CsvError(f"{source}: missing column {column!r}")
-    at_name, at_version, at_time = index[mapping.name], index[mapping.version], index[mapping.released_at]
-    at_dep, at_requirement = index.get(mapping.dep_name), index.get(mapping.dep_requirement)
-    width = len(header)
-    previous_name = previous_version = None
-    for row_no, row in enumerate(rows, start=2):
-        if len(row) != width:
-            if len(row) > width:
-                yield Quarantined(source, row_no, "CsvError", f"row has extra fields: {row[width:]!r}")
+    rows = enumerate(filter(None, csv.reader(reader)), start=1)  # a blank line reads as []
+    row_no = 0  # of the last row read
+    try:
+        row_no, header = next(rows, (0, None))
+        if header is None:
+            raise CsvError(f"{source}: empty file, expected a header row")
+        index = {column: i for i, column in enumerate(header)}  # a repeated name reads its last cell
+        for column in (mapping.name, mapping.version, mapping.released_at):
+            if column not in index:
+                raise CsvError(f"{source}: missing column {column!r}")
+        at_name, at_version, at_time = index[mapping.name], index[mapping.version], index[mapping.released_at]
+        at_dep, at_requirement = index.get(mapping.dep_name), index.get(mapping.dep_requirement)
+        width = len(header)
+        previous_name = previous_version = None
+        for row_no, row in rows:
+            if len(row) != width:
+                if len(row) > width:
+                    yield Quarantined(source, row_no, "CsvError", f"row has extra fields: {row[width:]!r}")
+                    continue
+                row += [None] * (width - len(row))  # missing cells read as None
+            name = (row[at_name] or "").strip()
+            version = (row[at_version] or "").strip()
+            if not name or not version:
+                yield Quarantined(source, row_no, "MissingField", dict(zip(header, row)))
                 continue
-            row += [None] * (width - len(row))  # missing cells read as None
-        name = (row[at_name] or "").strip()
-        version = (row[at_version] or "").strip()
-        if not name or not version:
-            yield Quarantined(source, row_no, "MissingField", dict(zip(header, row)))
-            continue
-        if name != previous_name or version != previous_version:
-            try:
-                time = parse_timestamp(row[at_time])
-            except InvalidTimestamp:
-                yield Quarantined(source, row_no, "InvalidTimestamp", dict(zip(header, row)))
-                previous_name = None
-                continue
-            yield unit_event(name, version, time)
-            previous_name, previous_version = name, version
-        if at_dep is not None:
-            dep_name = (row[at_dep] or "").strip()
-            if dep_name:
-                requirement = (row[at_requirement] or "").strip() if at_requirement is not None else ""
-                yield use_event((name, version), (dep_name, requirement or "*"))
+            if name != previous_name or version != previous_version:
+                try:
+                    time = parse_timestamp(row[at_time])
+                except InvalidTimestamp:
+                    yield Quarantined(source, row_no, "InvalidTimestamp", dict(zip(header, row)))
+                    previous_name = None
+                    continue
+                yield "unit", (name, version, time)
+                previous_name, previous_version = name, version
+            if at_dep is not None:
+                dep_name = (row[at_dep] or "").strip()
+                if dep_name:
+                    requirement = (row[at_requirement] or "").strip() if at_requirement is not None else ""
+                    yield "use", (name, version, dep_name, requirement or "*")
+    except csv.Error as exc:  # e.g. a field longer than csv.field_size_limit()
+        raise CsvError(f"{source}:{row_no + 1}: {exc}") from None
+
+
+def parse_registry_dump(reader, mapping: ColumnMap | None = None, source: str = "<dump>"):
+    """The event view of :func:`registry_dump_records`: :class:`Quarantined`
+    items and events."""
+    for item in registry_dump_records(reader, mapping, source):
+        if isinstance(item, Quarantined):
+            yield item
+        else:
+            kind, leaves = item
+            yield unit_event(*leaves) if kind == "unit" else use_event(leaves[:2], leaves[2:])
 
 
 # --- contribution records --------------------------------------------------------
@@ -274,14 +300,15 @@ _CTYPE_ALIASES = {
 }
 
 
-def parse_contribution_events(reader, source: str = "<contributions>"):
-    """Stream NDJSON contribution records into events.
+def _contribution_rows(reader, source: str, view):
+    """Walk NDJSON contribution records, the one place of their rules:
+    yields :class:`Quarantined` items and, per good record, ``view(record,
+    title)`` of its ``("contribution", leaf values)`` record and raw title.
 
     Each record needs ``author``, ``target``, ``type`` and ``time``;
     ``merged`` is a JSON bool, false when absent; ``id`` defaults to a
-    line-derived identifier; an optional ``title`` is carried through on the
-    event payload for bot heuristics (it is not part of the persisted wire
-    schema). Bad records are yielded as :class:`Quarantined` items.
+    line-derived identifier. A line that is not JSON, or is nested too deep
+    or holds too long a number to read, is quarantined as a ParseError.
     """
     for line_no, line in enumerate(reader, start=1):
         text = line.strip()
@@ -289,7 +316,7 @@ def parse_contribution_events(reader, source: str = "<contributions>"):
             continue
         try:
             record = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError):
             yield Quarantined(source, line_no, "ParseError", text)
             continue
         if not isinstance(record, dict):
@@ -315,12 +342,27 @@ def parse_contribution_events(reader, source: str = "<contributions>"):
         cid = record.get("id")
         if not isinstance(cid, str) or not cid:
             cid = f"{target}#{line_no}"
-        event = contribution_event(cid, author, target, ctype, time, merged)
-        title = record.get("title")
-        if isinstance(title, str) and title:
-            # in-memory enrichment only; append() writes schema fields alone
-            event.payload["title"] = title
-        yield event
+        yield view(("contribution", (cid, author, target, ctype, time, merged)), record.get("title"))
+
+
+def contribution_records(reader, source: str = "<contributions>"):
+    """The record view of the contribution walker: :class:`Quarantined`
+    items and records for :meth:`~pkgverse.eventlog.EventLog.append_records`."""
+    return _contribution_rows(reader, source, lambda record, title: record)
+
+
+def parse_contribution_events(reader, source: str = "<contributions>"):
+    """The event view of the contribution walker: :class:`Quarantined` items
+    and events. A non-empty ``title`` rides on the payload for bot
+    heuristics; it is not part of the persisted wire schema."""
+    return _contribution_rows(reader, source, _titled_event)
+
+
+def _titled_event(record, title):
+    event = contribution_event(*record[1])
+    if isinstance(title, str) and title:  # in-memory enrichment only; appends write schema fields alone
+        event.payload["title"] = title
+    return event
 
 
 # --- registry metadata -------------------------------------------------------------

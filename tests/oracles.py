@@ -12,9 +12,24 @@ from operator import attrgetter
 
 import networkx as nx
 
-from pkgverse.errors import CsvError, InvalidTimestamp, SchemaError
-from pkgverse.eventlog import unit_event, use_event
-from pkgverse.graph import TimedSnapshot, UniverseGraph
+from pkgverse import eventlog
+from pkgverse.errors import (
+    BranchingUpdate,
+    CsvError,
+    DuplicateUnit,
+    InvalidTimestamp,
+    NameAxiomViolation,
+    ParallelEdge,
+    PkgverseError,
+    SchemaError,
+    SelfLoop,
+    TimeAnomaly,
+    TimeOrderViolation,
+    TornTail,
+    UnknownUnit,
+)
+from pkgverse.eventlog import QuarantinedEvent, ReplayResult, unit_event, use_event
+from pkgverse.graph import SoftwareUnit, TimedSnapshot, UniverseGraph, UpdateEdge, UseEdge
 from pkgverse.ingest import ColumnMap, Quarantined, parse_timestamp
 
 
@@ -367,6 +382,110 @@ def reference_parse_registry_dump(reader, mapping: ColumnMap | None = None, sour
             if dep_name:
                 requirement = (row.get(mapping.dep_requirement) or "").strip() or "*"
                 yield use_event((name, version), (dep_name, requirement))
+
+
+# --- replay ----------------------------------------------------------------------
+# A frozen copy of replay as it applied every line through a list of field
+# values, one dispatch and UniverseGraph.find, onto a graph whose writes
+# checked each handle through unit().
+
+
+class ReferenceGraph(UniverseGraph):
+    def add_unit(self, name, release, time):
+        if not name or not release:
+            raise ValueError("unit name and release must be non-empty")
+        key = (name, release)
+        if key in self._by_key:
+            raise DuplicateUnit(f"{name}@{release} already present")
+        uid = len(self._units)
+        unit = SoftwareUnit(uid, name, release, int(time))
+        self._units.append(unit)
+        self._by_key[key] = uid
+        self._by_name.setdefault(name, []).append(uid)
+        self._unit_timeline.append(unit.time, unit)
+        return uid
+
+    def add_use_edge(self, src, dst):
+        t_src, t_dst = self.unit(src).time, self.unit(dst).time
+        if src == dst:
+            raise SelfLoop(f"unit {self._label(src)} cannot use itself")
+        if dst in self._use_out.get(src, ()):
+            raise ParallelEdge(f"{self._label(src)} -> {self._label(dst)} already present")
+        if t_dst > t_src and self.strict:
+            raise TimeAnomaly(f"{self._label(src)} uses {self._label(dst)} released later")
+        edge = UseEdge(src, dst)
+        self._use_out.setdefault(src, set()).add(dst)
+        self._use_in.setdefault(dst, set()).add(src)
+        self._use_timeline.append(max(t_src, t_dst), edge)
+        if t_dst > t_src:
+            self.anomalies.append(edge)
+        return edge
+
+    def add_update_edge(self, src, dst):
+        u, v = self.unit(src), self.unit(dst)
+        if u.name != v.name:
+            raise NameAxiomViolation(f"{self._label(src)} => {self._label(dst)}")
+        if not u.time < v.time:
+            raise TimeOrderViolation(f"{self._label(src)} (t={u.time}) => {self._label(dst)} (t={v.time})")
+        if src in self._successor:
+            raise BranchingUpdate(f"{self._label(src)} already has a successor")
+        if dst in self._predecessor:
+            raise BranchingUpdate(f"{self._label(dst)} already has a predecessor")
+        edge = UpdateEdge(src, dst)
+        self._successor[src] = dst
+        self._predecessor[dst] = src
+        self._update_timeline.append(v.time, edge)
+        return edge
+
+
+def _reference_apply(result, kind, values):
+    graph = result.graph
+    if kind == "unit":
+        graph.add_unit(*values)
+    elif kind == "use" or kind == "update":
+        src_ref, dst_ref = values
+        src, dst = graph.find(*src_ref), graph.find(*dst_ref)
+        if src is None or dst is None:
+            missing = src_ref if src is None else dst_ref
+            raise UnknownUnit(f"unresolvable reference {missing[0]}@{missing[1]}")
+        (graph.add_use_edge if kind == "use" else graph.add_update_edge)(src, dst)
+    elif kind == "contribution":
+        result.contributions.append(dict(zip(eventlog._FIELDS[kind], values)))
+    else:
+        result.aliases.append(tuple(values))
+
+
+def reference_replay(path, *, strict=False, into=None) -> ReplayResult:
+    result = into if into is not None else ReplayResult(graph=ReferenceGraph(strict=strict))
+    with open(path, "rb") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            m = eventlog._CANONICAL.fullmatch(line)
+            if m is not None:
+                kind, first, loads = eventlog._BY_LAST_GROUP[m.lastindex]
+                seq, record = int(m[1]), None
+                values = [load(g) for load, g in zip(loads, m.groups()[first - 1:m.lastindex])]
+            else:
+                try:
+                    record = eventlog._decode(line)
+                except ValueError as exc:
+                    error = eventlog._damaged(path, line_no, line, exc)
+                    if type(error) is not TornTail:
+                        raise error from None
+                    result.quarantine.append(QuarantinedEvent(line_no, None, "TornTail", str(error), {}))
+                    break
+                seq, kind = record.get("seq"), record.get("kind")
+                seq = seq if type(seq) is int else None
+            try:
+                if record is not None:
+                    eventlog._line(0, kind, record)
+                    values = [record[key] for key in eventlog._FIELDS[kind]]
+                _reference_apply(result, kind, values)
+            except PkgverseError as exc:
+                if record is None:
+                    fields = dict(zip(eventlog._FIELDS[kind], values))
+                    record = {"v": eventlog.SCHEMA_VERSION, "seq": seq, "kind": kind, **fields}
+                result.quarantine.append(QuarantinedEvent(line_no, seq, type(exc).__name__, str(exc), record))
+    return result
 
 
 def reference_dot(snapshot) -> str:

@@ -639,3 +639,63 @@ class TestSampleAliases:
             log.append(alias_event("alice", "a.jones"))
         assert main(argv) == 0
         assert json.loads(capsys.readouterr().out)["selected"] == ["q"]  # one each; q ranks first by name
+
+
+class TestUnreadableIngestInput:
+    HEADER = "platform,name,version,released_at,dep_name,dep_requirement\n"
+
+    def test_field_over_the_csv_limit_is_one_error_line(self, tmp_path, capsys):
+        dump = tmp_path / "d.csv"
+        dump.write_text(self.HEADER + "npm,lib,1.0.0,5,,\nnpm,app,1.0.0,6,lib," + "x" * 200_000 + "\n")
+        log = tmp_path / "log.ndjson"
+        assert main(["ingest", str(dump), "--kind", "dump", "--log", str(log)]) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: {dump}:3: field larger than field limit")
+        assert [json.loads(r)["name"] for r in log.read_text().splitlines()] == ["lib"]  # rows before it
+
+    @pytest.mark.parametrize("kind, text", [
+        ("dump", HEADER.encode() + b"npm,\xff,1.0.0,5,,\n"),
+        ("contributions", b'{"author": "\xff", "target": "app", "type": "pr", "time": 5}\n'),
+    ], ids=["dump", "contributions"])
+    def test_bytes_that_are_not_utf8_are_one_error_line(self, tmp_path, capsys, kind, text):
+        source = tmp_path / "input.txt"
+        source.write_bytes(text)
+        assert main(["ingest", str(source), "--kind", kind, "--log", str(tmp_path / "log.ndjson")]) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: {source}: 'utf-8' codec can't decode byte 0xff")
+
+    def test_too_deep_or_too_long_json_records_are_quarantined(self, tmp_path, capsys):
+        source = tmp_path / "c.ndjson"
+        good = '{"author": "alice", "target": "app", "type": "pr", "time": 5}'
+        source.write_text("\n".join([good, "[" * 200_000 + "]" * 200_000, good.replace("5", "9" * 5000)]) + "\n")
+        log = tmp_path / "log.ndjson"
+        assert main(["ingest", str(source), "--kind", "contributions", "--log", str(log)]) == 2
+        assert "appended 1 contribution; 2 quarantined" in capsys.readouterr().err
+        report = [json.loads(r) for r in (tmp_path / "log.ndjson.quarantine.ndjson").read_text().splitlines()]
+        assert [(q["line"], q["reason"]) for q in report] == [(2, "ParseError"), (3, "ParseError")]
+
+    def test_too_deep_manifest_is_one_error_line(self, tmp_path, capsys):
+        manifest = tmp_path / "package.json"
+        manifest.write_text('{"name": "app", "version": "1.0.0", "dependencies": ' + "[" * 200_000 + "]" * 200_000 + "}")
+        assert main(["ingest", str(manifest), "--kind", "manifest", "--log", str(tmp_path / "log.ndjson")]) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: malformed JSON: ")
+
+    def test_too_deep_log_line_is_a_damaged_line(self, tmp_path, capsys):
+        log = tmp_path / "log.ndjson"
+        deep = "[" * 200_000 + "]" * 200_000
+        log.write_text('{"v":1,"seq":1,"kind":"unit","name":"a","release":"1","time":5}\n' + deep + "\n")
+        assert main(["snapshot", "--at", "9", "--log", str(log)]) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: {log}:2: maximum recursion depth exceeded")
+
+    @pytest.mark.parametrize("argv", [["congruence"], ["sample", "--metric", "contributors", "--k", "1"]],
+                             ids=["congruence", "sample"])
+    def test_contribution_file_that_is_not_utf8_is_one_error_line(self, tmp_path, capsys, argv):
+        log = tmp_path / "log.ndjson"
+        log.write_text('{"v":1,"seq":1,"kind":"unit","name":"app","release":"1.0.0","time":5}\n')
+        source = tmp_path / "c.ndjson"
+        source.write_bytes(b'{"author": "\xff", "target": "app", "type": "pr", "time": 5}\n')
+        assert main([*argv, "--log", str(log), "--contributions", str(source)]) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: {source}: 'utf-8' codec can't decode byte 0xff")

@@ -670,3 +670,28 @@ class TestReplayFallback:
         monkeypatch.setattr(json, "loads", lambda *a, **k: calls.append(1) or loads(*a, **k))
         assert _replayed(path) == expected
         assert len(calls) == len(events)
+
+
+class TestTooDeepLines:
+    DEEP = b"[" * 200_000 + b"]" * 200_000
+
+    def test_a_deep_committed_line_is_corrupt_and_appends_walk_past_it(self, tmp_path):
+        path = tmp_path / "log.ndjson"
+        write_log(path, [unit_event("a", "1", 10)])
+        with path.open("ab") as fh:
+            fh.write(self.DEEP + b"\n")
+        with pytest.raises(CorruptLog, match=":2: maximum recursion depth exceeded"):
+            replay(path)
+        with EventLog(path) as log:
+            assert log.append(unit_event("b", "1", 20)) == 2
+
+    def test_a_deep_final_fragment_is_a_torn_tail(self, tmp_path):
+        path = tmp_path / "log.ndjson"
+        write_log(path, [unit_event("a", "1", 10)])
+        with path.open("ab") as fh:
+            fh.write(self.DEEP)
+        [q] = replay(path).quarantine
+        assert (q.line_no, q.reason) == (2, "TornTail")
+        with EventLog(path) as log:
+            assert log.append(unit_event("b", "1", 20)) == 2
+        assert [r["name"] for r in map(json.loads, path.read_text().splitlines())] == ["a", "b"]

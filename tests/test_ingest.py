@@ -413,3 +413,36 @@ class TestStreamingMemory:
         tracemalloc.stop()
         assert count == 2 * n_rows
         assert peak < 8 * 1024 * 1024  # a ceiling far below the ~10MB+ of text streamed
+
+
+class TestUnreadableInput:
+    def test_a_field_over_the_csv_limit_is_a_csv_error_naming_its_row(self):
+        text = DUMP_HEADER + "\n" + "npm,lib,1.0.0,5,,\n" + "npm,app,1.0.0,6,lib," + "x" * 200_000 + "\n"
+        items = []
+        with pytest.raises(CsvError, match=r"^<dump>:3: field larger than field limit"):
+            items.extend(parse_registry_dump(io.StringIO(text)))
+        assert [e.payload["name"] for e in items] == ["lib"]
+
+    def test_a_header_over_the_csv_limit_is_row_1(self):
+        with pytest.raises(CsvError, match=r"^d.csv:1: "):
+            list(parse_registry_dump(io.StringIO("x" * 200_000 + "\n"), source="d.csv"))
+
+    def test_an_over_long_timestamp_is_quarantined(self):
+        events, [q] = run_dump(DUMP_HEADER + "npm,app,1.0.0," + "9" * 5000 + ",,\nnpm,lib,1.0.0,5,,\n")
+        assert [e.payload["name"] for e in events] == ["lib"]
+        assert (q.line_no, q.reason) == (2, "InvalidTimestamp")
+        with pytest.raises(InvalidTimestamp):
+            parse_timestamp("9" * 5000)
+
+    @pytest.mark.parametrize("line", [
+        "[" * 200_000 + "]" * 200_000,
+        '{"author": "bob", "target": "app", "type": "pr", "time": %s}' % ("9" * 5000),
+    ], ids=["deep", "long number"])
+    def test_too_deep_or_too_long_json_is_a_parse_error(self, line):
+        events, [q] = run_contributions(line + '\n{"author": "bob", "target": "app", "type": "pr", "time": 5}\n')
+        assert len(events) == 1
+        assert (q.line_no, q.reason, q.record) == (1, "ParseError", line)
+
+    def test_too_deep_manifest_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="malformed JSON"):
+            parse_manifest('{"name": "app", "version": "1", "x": ' + "[" * 200_000 + "]" * 200_000 + "}")
