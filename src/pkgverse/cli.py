@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from collections import Counter
 from contextlib import nullcontext
@@ -218,8 +219,8 @@ def cmd_snapshot(args) -> int:
 
 def cmd_resolve(args) -> int:
     result = _replay_log(args)
-    name, _, release = args.root.partition("@")
-    if not release:
+    name, _, release = args.root.rpartition("@")  # a scoped npm name starts with "@"
+    if not (name and release):
         raise UnknownRoot(f"--root must look like name@version, got {args.root!r}")
     snap = result.graph.timed_snapshot(_at_or_latest(args.at, result.graph))
     tree = build_tree_at(snap, name, release)
@@ -304,11 +305,15 @@ def cmd_sample(args) -> int:
     if args.popularity_csv:
         with open(args.popularity_csv, newline="", encoding="utf-8-sig") as fh:
             rows = csv.DictReader(fh)
+            popularity = {}
             try:
-                popularity = {row["package"]: float(row["score"]) for row in rows}
+                for row in rows:
+                    popularity[row["package"]] = score = float(row["score"])
+                    if not math.isfinite(score):  # nan would break the ranking's order
+                        raise ValueError(score)
             except (KeyError, TypeError, ValueError):  # TypeError: a row too short to hold a score
                 where = f"{args.popularity_csv}:{rows.line_num}"
-                raise CsvError(f"{where}: expected a package and a numeric score") from None
+                raise CsvError(f"{where}: expected a package and a finite numeric score") from None
     selected = sample_top_k(snap, spec, contributions=contributions, popularity=popularity)
     breakage = chain_breakage(snap, set(selected)) if args.measure_breakage else None
     if args.format == "csv":
@@ -451,7 +456,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (PkgverseError, OSError) as exc:
+    except (PkgverseError, OSError, RecursionError) as exc:  # RecursionError: a chain too deep for the tree walks
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FATAL
 

@@ -21,15 +21,19 @@ and everything that reads or writes log lines derives from it; one event per lin
 ``seq`` is assigned by the log on append, never by the caller, so a single
 log is gap-free. Temporal queries key on release time.
 
-The log line is the canonical form of an event: one encoder per kind, over
-its field values, checks each value as it writes it. Payloads are unpacked
-into it, and :func:`validate_payload` returns what a payload's line decodes to.
+The log writes and reads an event as its kind and its leaf values, in
+``SCHEMA`` order; a ``[name, release]`` field gives two leaves. The log
+line is the canonical form of an event: each kind's line body has one slot
+per leaf, and one encoder per kind checks each leaf as it writes it.
+Payloads are flattened into leaves for it, and :func:`validate_payload`
+returns what a payload's line decodes to.
 
-Replay reads lines as the encoders write them (ASCII text without escapes,
-ints of at most 100 digits) with one regex derived from the same table and
-applies the match's fields. Any other valid spelling (escapes, non-ASCII
-text, other key orders, whitespace, extra fields) is decoded by
-``json.loads`` and checked by the encoder; both give the same result.
+Replay turns every line into its kind and leaves and applies them in one
+step per kind. A line as the encoders write it (ASCII text without escapes,
+ints of at most 100 digits) gives its leaves off one regex, built from the
+same line bodies. Any other valid spelling (escapes, non-ASCII text, other
+key orders, whitespace, extra fields) is decoded by ``json.loads``, then
+flattened and checked as the writers do; both give the same result.
 
 A record commits with its trailing newline. ``append`` writes and flushes
 one line; ``append_events`` and ``append_records`` write in chunks of whole
@@ -50,9 +54,9 @@ import itertools
 import json
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .errors import CorruptLog, PkgverseError, SchemaError, TornTail, UnknownUnit
 from .graph import UniverseGraph
@@ -93,36 +97,34 @@ class EcosystemEvent(NamedTuple):
 
 @dataclass(frozen=True, slots=True)
 class _Shape:
-    """What one field's value must be on the wire, and its text codec; the
-    encoders inline ``rule`` and ``text``, Python expressions of a leaf ``{0}``."""
+    """What one field's value must be on the wire, and the codec of each of
+    its leaves. The encoders inline ``rule`` and ``text``, Python expressions
+    of a leaf ``{0}``; the readers of canonical lines inline ``load``, one of
+    a regex group's text ``{0}``."""
 
     what: str  # completes "field 'x' must be ..." in a SchemaError
     rule: str  # true for a leaf that fits; None fits no rule
     text: str  # the JSON text of a leaf that fits
-    pattern: bytes  # regex of the canonical JSON text, one group around what load reads
-    load: Callable[[bytes], object]  # the value json.loads reads from that group
+    pattern: str  # regex of a leaf's canonical JSON text, one group around the value
+    load: str = "{0}"  # the value json.loads reads from that group
     arity: int = 0  # leaves in the field's list; 0 when the field is one leaf
 
 
 # Strings go through the C escaper json.dumps uses with ensure_ascii=True, so
 # each line is byte for byte ``json.dumps(record, separators=(",", ":"))``.
 _esc = json.encoder.encode_basestring_ascii
-# The content of a JSON string that json.loads reads verbatim: ASCII without
-# quotes, backslashes or control characters. Replay reads other strings as JSON.
-_RAW = rb'[^"\\\x00-\x1f\x80-\xff]+'
-_STR = "isinstance({0}, str) and {0}"
 
-_TEXT = _Shape("a non-empty string", _STR, "_esc({0})", b'"(%s)"' % _RAW, bytes.decode)
+# The pattern takes the strings json.loads reads verbatim: ASCII without
+# quotes, backslashes or control characters. Replay reads other strings as JSON.
+_TEXT = _Shape("a non-empty string", "isinstance({0}, str) and {0}", "_esc({0})", r'"([^"\\\x00-\x1f\x80-\xff]+)"')
 # longer ints are read as JSON, under json.loads' own limit on int digits
 _INT = _Shape("an integer", "type({0}) is not bool and isinstance({0}, int)", "int.__repr__({0})",
-              rb"(0|-?[1-9][0-9]{0,99})", int)
-_BOOL = _Shape("true or false", "type({0}) is bool", '("true" if {0} else "false")', rb"(true|false)",
-               b"true".__eq__)
-_REF = _Shape("a [name, release] pair", _STR, "_esc({0})", rb'\["(%s","%s)"\]' % (_RAW, _RAW),
-              lambda b: b.decode().split('","'), 2)
-_NAME = _Shape("a one-element [name] list", _STR, "_esc({0})", rb'\["(%s)"\]' % _RAW, lambda b: [b.decode()], 1)
+              r"(0|-?[1-9][0-9]{0,99})", "int({0})")
+_BOOL = _Shape("true or false", "type({0}) is bool", '("true" if {0} else "false")', "(true|false)", '{0} == "true"')
+_REF = replace(_TEXT, what="a [name, release] pair", arity=2)
+_NAME = replace(_TEXT, what="a one-element [name] list", arity=1)
 _CTYPE = _Shape("one of " + ", ".join(CONTRIBUTION_TYPES), "isinstance({0}, str) and {0} in CONTRIBUTION_TYPES",
-                "_esc({0})", b'"(%s)"' % b"|".join(t.encode() for t in CONTRIBUTION_TYPES), bytes.decode)
+                "_esc({0})", '"(%s)"' % "|".join(CONTRIBUTION_TYPES))
 
 # The wire schema: each kind's fields in line order, with their shapes. Every
 # field is required. The encoders, the line regex, replay and the error
@@ -138,12 +140,14 @@ SCHEMA = {
     "developer-alias": (("canonical", _TEXT), ("alias", _TEXT)),
 }
 _FIELDS = {kind: tuple(key for key, _ in rows) for kind, rows in SCHEMA.items()}
-_HEAD = '{"v":%d,"seq":' % SCHEMA_VERSION  # then the seq, a comma and the line body
-_BODIES = {  # each kind's line body, with one %s slot per field
-    kind: '"kind":' + _esc(kind) + "".join(f",{_esc(k)}:%s" for k in keys) + "}\n" for kind, keys in _FIELDS.items()
-}
 _LEAF_FIELDS = {  # each kind's (key, shape) per leaf value: two for a [name, release] field
     kind: tuple((key, shape) for key, shape in rows for _ in range(shape.arity or 1)) for kind, rows in SCHEMA.items()
+}
+_HEAD = '{"v":%d,"seq":' % SCHEMA_VERSION  # then the seq, a comma and the line body
+_BODIES = {  # each kind's line body, with one %s slot per leaf
+    kind: '"kind":' + _esc(kind) + "".join(
+        f",{_esc(key)}:" + ("[%s]" % ",".join(["%s"] * shape.arity) if shape.arity else "%s") for key, shape in rows
+    ) + "}\n" for kind, rows in SCHEMA.items()
 }
 
 
@@ -154,8 +158,7 @@ def _encoder(kind: str):
     leaves = [(f"v{i}", shape) for i, (_, shape) in enumerate(_LEAF_FIELDS[kind])]
     checks = "".join(f"{i} if not ({shape.rule.format(v)}) else " for i, (v, shape) in enumerate(leaves))
     texts = ", ".join(shape.text.format(v) for v, shape in leaves)
-    template = _BODIES[kind] % tuple("[%s]" % ",".join(["%s"] * s.arity) if s.arity else "%s" for _, s in SCHEMA[kind])
-    return eval(f"lambda {', '.join(v for v, _ in leaves)}: {checks}{template!r} % ({texts},)", globals())
+    return eval(f"lambda {', '.join(v for v, _ in leaves)}: {checks}{_BODIES[kind]!r} % ({texts},)", globals())
 
 
 _ENCODERS = {kind: (_encoder(kind), len(leaves)) for kind, leaves in _LEAF_FIELDS.items()}  # and leaf counts
@@ -163,17 +166,17 @@ _ENCODERS = {kind: (_encoder(kind), len(leaves)) for kind, leaves in _LEAF_FIELD
 
 def _canonical_line():
     """One regex for the lines the encoders write without escapes, each slot
-    replaced by its shape's pattern: the seq in group 1, then one alternative
+    replaced by its leaf's pattern: the seq in group 1, then one alternative
     per kind. Keyed by each kind's last group (a match's ``lastindex``): the
-    kind, its first group and its loads."""
+    kind and its reader, the function from a match to the kind's leaf values."""
     kinds, by_last, last = [], {}, 1
-    for kind, rows in SCHEMA.items():
-        literals = re.escape(_BODIES[kind][:-1]).encode().split(b"%s")
-        kinds.append(b"".join(text + shape.pattern for text, (_, shape) in zip(literals, rows)) + literals[-1])
-        by_last[last + len(rows)] = (kind, last + 1, tuple(shape.load for _, shape in rows))
-        last += len(rows)
-    head = re.escape(_HEAD).encode() + _INT.pattern + b","
-    return re.compile(head + b"(?:%s)\n?" % b"|".join(kinds)), by_last
+    for kind, leaves in _LEAF_FIELDS.items():
+        literals = re.escape(_BODIES[kind][:-1]).split("%s")
+        kinds.append("".join(text + shape.pattern for text, (_, shape) in zip(literals, leaves)) + literals[-1])
+        values = ", ".join(shape.load.format(f"m[{last + i}]") for i, (_, shape) in enumerate(leaves, 1))
+        last += len(leaves)
+        by_last[last] = kind, eval(f"lambda m: ({values},)")
+    return re.compile(re.escape(_HEAD) + _INT.pattern + ",(?:%s)\n?" % "|".join(kinds)), by_last
 
 
 _CANONICAL, _BY_LAST_GROUP = _canonical_line()
@@ -203,10 +206,10 @@ def _encoder_of(kind: str):
     return _ENCODERS[kind]
 
 
-def _body(kind: str, payload: dict) -> str:
-    """The line body of a payload, the wire schema's one check (SchemaError).
-    A field that is absent, or not a list of its arity, gives None leaves,
-    so the kind's encoder finds the first field that does not fit."""
+def _body(kind: str, payload: dict) -> tuple[str, tuple]:
+    """The line body of a payload and its leaf values, the wire schema's one
+    check (SchemaError). A field that is absent, or not a list of its arity,
+    gives None leaves, so the kind's encoder finds the first field that does not fit."""
     encode, _ = _encoder_of(kind)
     if not isinstance(payload, dict):
         raise SchemaError("payload must be an object")
@@ -220,7 +223,7 @@ def _body(kind: str, payload: dict) -> str:
     body = encode(*leaves)
     if type(body) is int:
         raise _schema_error(kind, body, payload)
-    return body
+    return body, tuple(leaves)
 
 
 def _record_bodies(records):
@@ -241,7 +244,7 @@ def _record_bodies(records):
 
 def _line(seq: int, kind: str, payload: dict) -> str:
     """The log line of a payload, newline included."""
-    return f"{_HEAD}{seq},{_body(kind, payload)}"
+    return f"{_HEAD}{seq},{_body(kind, payload)[0]}"
 
 
 def validate_payload(kind: str, payload: dict) -> dict:
@@ -376,7 +379,7 @@ class EventLog:
     def append_events(self, events) -> int:
         """Validate and append many events; returns how many were written.
         Payloads are unpacked into the encoders :meth:`append_records` uses."""
-        return self._append(_body(event.kind, event.payload) for event in events)
+        return self._append(_body(event.kind, event.payload)[0] for event in events)
 
     def append_records(self, records) -> int:
         """Validate and append ``(kind, leaf values)`` records, such as
@@ -461,11 +464,6 @@ class ReplayResult:
     quarantine: list[QuarantinedEvent] = field(default_factory=list)
 
 
-def _loaded(m: re.Match, first: int, loads) -> list:
-    """The field values json.loads reads from a canonical line's match."""
-    return [load(g) for load, g in zip(loads, m.groups()[first - 1:])]
-
-
 def replay(
     log: EventLog | str | Path, *, strict: bool = False, into: ReplayResult | None = None
 ) -> ReplayResult:
@@ -483,10 +481,11 @@ def replay(
     graph = result.graph
     with open(path, "rb") as fh:
         for line_no, line in enumerate(fh, start=1):
-            m = _CANONICAL.fullmatch(line)
-            if m is not None:  # as the encoders write it: the fields are read off the match
-                kind, first, loads = _BY_LAST_GROUP[m.lastindex]
-                record = None
+            # a non-ASCII byte decodes to a character the regex does not take
+            m = _CANONICAL.fullmatch(line.decode("latin-1"))
+            if m is not None:  # as the encoders write it: the leaves are read off the match
+                kind, read = _BY_LAST_GROUP[m.lastindex]
+                leaves = read(m)
             else:
                 try:
                     record = _decode(line)
@@ -498,34 +497,25 @@ def replay(
                     break
                 seq, kind = record.get("seq"), record.get("kind")
                 seq = seq if type(seq) is int else None
-            try:  # a decoded line is checked by the encoders; a canonical one fits them
-                if record is not None:
-                    _line(0, kind, record)
+            try:  # a decoded line is flattened and checked as the event writers do; a canonical one fits
+                if m is None:
+                    leaves = _body(kind, record)[1]
                 if kind == "unit":
-                    if record is None:
-                        graph.add_unit(m[first].decode(), m[first + 1].decode(), int(m[first + 2]))
-                    else:
-                        graph.add_unit(record["name"], record["release"], record["time"])
+                    graph.add_unit(*leaves)
                 elif kind == "use" or kind == "update":
-                    if record is None:
-                        src_ref = tuple(m[first].decode().split('","'))
-                        dst_ref = tuple(m[first + 1].decode().split('","'))
-                    else:
-                        src_ref, dst_ref = tuple(record["from"]), tuple(record["to"])
+                    src_ref, dst_ref = leaves[:2], leaves[2:]
                     src, dst = graph._by_key.get(src_ref), graph._by_key.get(dst_ref)
                     if src is None or dst is None:
                         raise UnknownUnit("unresolvable reference %s@%s" % (src_ref if src is None else dst_ref))
                     (graph.add_use_edge if kind == "use" else graph.add_update_edge)(src, dst)
+                elif kind == "contribution":
+                    result.contributions.append(_payload(kind, leaves))
                 else:
-                    values = _loaded(m, first, loads) if record is None else [record[k] for k in _FIELDS[kind]]
-                    if kind == "contribution":
-                        result.contributions.append(dict(zip(_FIELDS[kind], values)))
-                    else:
-                        result.aliases.append(tuple(values))
+                    result.aliases.append(leaves)
             except PkgverseError as exc:
-                if record is None:  # the record json.loads would give
-                    seq, values = int(m[1]), _loaded(m, first, loads)
-                    record = {"v": SCHEMA_VERSION, "seq": seq, "kind": kind, **dict(zip(_FIELDS[kind], values))}
+                if m is not None:  # the record json.loads would give
+                    seq = int(m[1])
+                    record = {"v": SCHEMA_VERSION, "seq": seq, "kind": kind, **_payload(kind, leaves)}
                 result.quarantine.append(QuarantinedEvent(line_no, seq, type(exc).__name__, str(exc), record))
     return result
 

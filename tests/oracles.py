@@ -459,31 +459,20 @@ def reference_replay(path, *, strict=False, into=None) -> ReplayResult:
     result = into if into is not None else ReplayResult(graph=ReferenceGraph(strict=strict))
     with open(path, "rb") as fh:
         for line_no, line in enumerate(fh, start=1):
-            m = eventlog._CANONICAL.fullmatch(line)
-            if m is not None:
-                kind, first, loads = eventlog._BY_LAST_GROUP[m.lastindex]
-                seq, record = int(m[1]), None
-                values = [load(g) for load, g in zip(loads, m.groups()[first - 1:m.lastindex])]
-            else:
-                try:
-                    record = eventlog._decode(line)
-                except ValueError as exc:
-                    error = eventlog._damaged(path, line_no, line, exc)
-                    if type(error) is not TornTail:
-                        raise error from None
-                    result.quarantine.append(QuarantinedEvent(line_no, None, "TornTail", str(error), {}))
-                    break
-                seq, kind = record.get("seq"), record.get("kind")
-                seq = seq if type(seq) is int else None
             try:
-                if record is not None:
-                    eventlog._line(0, kind, record)
-                    values = [record[key] for key in eventlog._FIELDS[kind]]
-                _reference_apply(result, kind, values)
+                record = eventlog._decode(line)
+            except ValueError as exc:
+                error = eventlog._damaged(path, line_no, line, exc)
+                if type(error) is not TornTail:
+                    raise error from None
+                result.quarantine.append(QuarantinedEvent(line_no, None, "TornTail", str(error), {}))
+                break
+            seq, kind = record.get("seq"), record.get("kind")
+            seq = seq if type(seq) is int else None
+            try:
+                eventlog._line(0, kind, record)
+                _reference_apply(result, kind, [record[key] for key in eventlog._FIELDS[kind]])
             except PkgverseError as exc:
-                if record is None:
-                    fields = dict(zip(eventlog._FIELDS[kind], values))
-                    record = {"v": eventlog.SCHEMA_VERSION, "seq": seq, "kind": kind, **fields}
                 result.quarantine.append(QuarantinedEvent(line_no, seq, type(exc).__name__, str(exc), record))
     return result
 

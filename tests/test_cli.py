@@ -325,6 +325,37 @@ class TestResolve:
         assert main(["resolve", "--log", str(universe_log), "--root", "ghost@1"]) == 1
         assert main(["resolve", "--log", str(universe_log), "--root", "malformed"]) == 1
 
+    def test_scoped_npm_root_splits_at_the_last_at(self, tmp_path, capsys):
+        log, dump = tmp_path / "log.ndjson", tmp_path / "dump.csv"
+        dump.write_text("platform,name,version,released_at,dep_name,dep_requirement\n"
+                        "npm,@babel/types,7.0.0,1,,\nnpm,@babel/core,7.0.0,2,@babel/types,7.0.0\n")
+        assert main(["ingest", str(dump), "--kind", "dump", "--log", str(log)]) == 0
+        capsys.readouterr()
+        assert main(["resolve", "--log", str(log), "--root", "@babel/core@7.0.0"]) == 0
+        root = json.loads(capsys.readouterr().out)["root"]
+        assert (root["name"], root["version"]) == ("@babel/core", "7.0.0")
+        assert root["children"] == [{"name": "@babel/types", "version": "7.0.0"}]
+        for malformed in ("lib", "@scope/lib", "lib@"):
+            assert main(["resolve", "--log", str(log), "--root", malformed]) == 1
+            assert "--root must look like name@version" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [[], ["--style", "flat"], ["--format", "lock"]])
+    def test_a_chain_too_deep_for_the_tree_walks_is_one_error_line(self, tmp_path, flags):
+        log = tmp_path / "chain.ndjson"
+        with EventLog(log) as out:
+            out.append_records(("unit", (f"p{i}", "1.0.0", i)) for i in range(1500))
+            out.append_records(("use", (f"p{i + 1}", "1.0.0", f"p{i}", "1.0.0")) for i in range(1499))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])
+        ))
+        proc = subprocess.run(
+            [sys.executable, "-m", "pkgverse", "resolve", "--log", str(log), "--root", "p1499@1.0.0", *flags],
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 1
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("error: ") and "Traceback" not in proc.stderr
+
 
 class TestCongruence:
     def test_fixture_emits_two_pairs(self, app_log, contributions_file, capsys):
@@ -455,6 +486,9 @@ class TestSample:
         (["--metric", "popularity", "--k", "1"], "package,stars\nx,3\n", "popularity.csv:2:"),
         (["--metric", "popularity", "--k", "1"], "name,score\nx,3\n", "popularity.csv:2:"),
         (["--metric", "popularity", "--k", "1"], "package,score\nx,3\nq,lots\n", "popularity.csv:3:"),
+        (["--metric", "popularity", "--k", "1"], "package,score\nx,1\nq,nan\n", "popularity.csv:3:"),
+        (["--metric", "popularity", "--k", "1"], "package,score\nx,inf\nq,1\n", "popularity.csv:2:"),
+        (["--metric", "popularity", "--k", "1"], "package,score\nx,1\nq,-inf\n", "popularity.csv:3:"),
     ])
     def test_bad_input_exits_1_with_one_error_line(self, universe_log, tmp_path, argv, table, detail):
         if table is not None:
