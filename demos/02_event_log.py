@@ -11,7 +11,7 @@ reason instead of poisoning the rest of the ingest.
 import tempfile
 from pathlib import Path
 
-from pkgverse import EventLog, replay, replay_until
+from pkgverse import EventLog, replay
 from pkgverse.eventlog import unit_event, update_event, use_event
 
 with tempfile.TemporaryDirectory(prefix="pkgverse-demo-") as workdir:
@@ -38,7 +38,8 @@ with tempfile.TemporaryDirectory(prefix="pkgverse-demo-") as workdir:
     for q in result.quarantine:
         print(f"   line {q.line_no}: {q.reason} — {q.detail}")
 
-    # the same log answers historical questions, keyed on release time
-    early = replay_until(log_path, 150)
-    print("\nstate at t=150:", early)
-    print("state at t=300:", replay_until(log_path, 300))
+    # the replayed graph answers historical questions, keyed on release time
+    for t in (150, 300):
+        snap = result.graph.timed_snapshot(t)
+        print(f"\nstate at t={t}:", sorted(f"{u.name}@{u.release}" for u in snap.units))
+        print("   use-edges:", len(snap.use_edges), " update-edges:", len(snap.update_edges))

@@ -23,7 +23,6 @@ from .eventlog import (
     QuarantinedEvent,
     ReplayResult,
     replay,
-    replay_until,
 )
 from .semver import Version, VersionRange, parse_version, resolve_version_range
 from .ingest import (
@@ -86,7 +85,6 @@ __all__ = [
     "QuarantinedEvent",
     "ReplayResult",
     "replay",
-    "replay_until",
     "Version",
     "VersionRange",
     "parse_version",

@@ -49,7 +49,7 @@ from .ingest import (
     RegistryInfo,
     contribution_records,
     load_registry_table,
-    manifest_events,
+    manifest_records,
     parse_contribution_events,
     parse_decimal,
     parse_manifest,
@@ -157,7 +157,7 @@ def cmd_ingest(args) -> int:
             if isinstance(item, Quarantined):
                 quarantined.append(item)
             else:
-                counts[item[0]] += 1  # an event's or a record's kind
+                counts[item[0]] += 1  # the record's kind
                 yield item
 
     with EventLog(args.log) as log:
@@ -165,12 +165,9 @@ def cmd_ingest(args) -> int:
             path = Path(path)
             try:
                 if args.kind == "manifest":
-                    manifest = parse_manifest(
-                        path.read_text(encoding="utf-8-sig"),
-                        sections=("dependencies", "devDependencies") if args.include_dev else ("dependencies",),
-                    )
-                    time = args.time if args.time is not None else 0
-                    log.append_events(good(manifest_events(manifest, time)))
+                    sections = ("dependencies", "devDependencies") if args.include_dev else ("dependencies",)
+                    manifest = parse_manifest(path.read_text(encoding="utf-8-sig"), sections)
+                    log.append_records(good(manifest_records(manifest, args.time)))
                     continue
                 with path.open(encoding="utf-8-sig", newline="") as fh:  # -sig: drop a leading BOM
                     if args.kind == "dump":
@@ -385,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
                                      "platform,name,version,released_at,dep_name,dep_requirement; "
                                      "a shorter list overrides the leading ones and keeps the rest")
     p.add_argument("--include-dev", action="store_true", help="also ingest devDependencies")
-    p.add_argument("--time", type=int, help="release time for manifest ingests (epoch seconds)")
+    p.add_argument("--time", type=int, default=0, help="release time for manifest ingests (epoch seconds)")
     _common_flags(p)
     p.set_defaults(func=cmd_ingest)
 

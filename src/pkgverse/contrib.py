@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 from typing import AbstractSet
 
 from .errors import ConflictingAlias, InvalidRange
-from .graph import UniverseGraph, TimedSnapshot
+from .graph import UniverseGraph
 
 __all__ = [
     "Developer",
@@ -336,14 +336,12 @@ class CongruentPair:
     library_contribution: str
 
 
-def build_dc_graph(
-    graph: UniverseGraph | TimedSnapshot, contributions, window: Window
-) -> DcGraph:
-    """Join the dependency state at the window's end with the window's
-    contributions. Callers pass contributions already identity-merged and
-    (normally) bot-filtered. A live graph answers from its package
-    projection, indexed by time once per write and bisected per window; a
-    snapshot answers at the earlier of the window's end and its own time."""
+def build_dc_graph(graph: UniverseGraph, contributions, window: Window) -> DcGraph:
+    """Join the dependency state of the live ``graph`` at the window's end
+    with the window's contributions. Callers pass contributions already
+    identity-merged and (normally) bot-filtered. The dependency edges come
+    from the graph's package projection, indexed by time once per write and
+    bisected per window."""
     dep_edges = graph.package_dependency_edges(window.end)
     in_window = tuple(
         sorted(

@@ -72,7 +72,6 @@ __all__ = [
     "contribution_event",
     "alias_event",
     "replay",
-    "replay_until",
 ]
 
 SCHEMA_VERSION = 1
@@ -519,20 +518,3 @@ def replay(
                 result.quarantine.append(QuarantinedEvent(line_no, seq, type(exc).__name__, str(exc), record))
     return result
 
-
-def replay_until(log: EventLog | str | Path, t: int, *, strict: bool = False) -> UniverseGraph:
-    """Graph state at time ``t``, keyed on unit release times.
-
-    Equivalent to replaying everything and taking the timed snapshot at
-    ``t``, returned as a plain graph (handles are renumbered in release
-    order of the surviving units' original insertion).
-    """
-    snap = replay(log, strict=strict).graph.timed_snapshot(t)
-    units, use_edges, update_edges = snap._sorted_parts
-    g = UniverseGraph(strict=strict)
-    new = {u.uid: g.add_unit(u.name, u.release, u.time) for u in units}
-    for e in use_edges:
-        g.add_use_edge(new[e.src], new[e.dst])
-    for e in update_edges:
-        g.add_update_edge(new[e.src], new[e.dst])
-    return g

@@ -18,14 +18,14 @@ views over those prefixes of the sorted columns, not copies, and
 :func:`diff` of two views over the same columns is the view between their
 ends. A view pins the whole lists it read, even once a re-sort has built
 new ones, and writes only extend those lists past its end, so a snapshot
-never changes but keeps its graph's columns alive. The
-first package projection after a write indexes each (client, library) pair
-at its first activation time, so the live graph's projection at any
-instant is a bisected prefix too, with no snapshot built; writes and
-replay do no extra work. Snapshots build the lookup maps behind their read
-queries, their package projection and their export order from their own
-fields on first use, once each, and the queries themselves are shared with
-the live graph.
+never changes but keeps its graph's columns alive. The first package
+projection after a write indexes each (client, library) pair at its first
+activation time, so the graph projects at any instant by bisecting a
+prefix, with no snapshot built; writes and replay do no extra work. A
+snapshot projects only the whole of itself. Snapshots build the lookup
+maps behind their read queries, their package projection and their export
+order from their own fields on first use, once each, and the queries
+themselves are shared with the live graph.
 
 Structural rules enforced on every write:
 
@@ -483,11 +483,8 @@ class TimedSnapshot(_ReadQueries):
 
     @cached_property
     def _package_edges(self) -> frozenset[tuple[str, str]]:
-        return self._project(self.use_edges)
-
-    def _project(self, use_edges) -> frozenset[tuple[str, str]]:
         by_uid = self._by_uid
-        pairs = ((by_uid[e.src].name, by_uid[e.dst].name) for e in use_edges)
+        pairs = ((by_uid[e.src].name, by_uid[e.dst].name) for e in self.use_edges)
         return frozenset((a, b) for a, b in pairs if a != b)
 
     @cached_property
@@ -501,20 +498,16 @@ class TimedSnapshot(_ReadQueries):
             sorted(self.update_edges, key=ends),
         )
 
-    def package_dependency_edges(self, at: int | None = None) -> frozenset[tuple[str, str]]:
-        """Package-level projection of the use-edges active at
-        ``min(at, self.at)``. The projection of the whole snapshot (``at``
-        None or not before ``self.at``) is computed once; an earlier one is
-        computed on each call.
+    def package_dependency_edges(self) -> frozenset[tuple[str, str]]:
+        """Package-level projection of the snapshot's use-edges, computed
+        once. The projection at an earlier instant is the graph's
+        :meth:`UniverseGraph.package_dependency_edges`.
 
         Any use-edge between releases of two distinct names induces one
         (client, library) pair; edges between releases of the same name are
         not dependencies at package granularity and are dropped.
         """
-        if at is None or at >= self.at:
-            return self._package_edges
-        by_uid = self._by_uid
-        return self._project(e for e in self.use_edges if max(by_uid[e.src].time, by_uid[e.dst].time) <= at)
+        return self._package_edges
 
     def is_subgraph_of(self, other: "TimedSnapshot") -> bool:
         return (

@@ -1,4 +1,4 @@
-"""Parsers turning raw ecosystem data into event streams.
+"""Parsers turning raw ecosystem data into log records.
 
 Three input families are supported, all file-based:
 
@@ -6,13 +6,14 @@ Three input families are supported, all file-based:
 * registry dump CSVs (libraries.io-style, column mapping configurable),
 * contribution records (NDJSON of pull requests / issues / discussions),
 
-plus the bundled table describing well-known package registries. Parsers
-are streaming and pure per record: a registry dump is converted row by row
-with memory bounded by the row, never the file. Records that cannot be
-converted are yielded as :class:`Quarantined` items so a single bad row
-cannot poison a large ingest. Dumps and contribution files each have one
-walker, which holds every row rule of its input, with an event view
-(``parse_*``) and a record view (``*_records``) for ``EventLog.append_records``.
+plus the bundled table describing well-known package registries. Each
+family has a record view (``*_records``) of ``(kind, leaf values)`` records,
+which the CLI writes with ``EventLog.append_records``. Parsers are streaming
+and pure per record: a dump is converted row by row, with memory bounded by
+the row. A record that cannot be converted is yielded as a
+:class:`Quarantined` item, so one bad row cannot poison a large ingest.
+Dumps and contribution files each have one walker holding every row rule
+of its input, with an event view (``parse_*``) besides the record view.
 
 Use-edges in the event schema name a concrete ``(name, release)`` target.
 Dependency declarations, however, carry *ranges*; these are emitted
@@ -34,7 +35,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from .errors import CsvError, InvalidTimestamp, MissingField, ParseError
-from .eventlog import EcosystemEvent, contribution_event, unit_event, use_event
+from .eventlog import contribution_event, unit_event, use_event
 from .semver import VersionRange
 
 __all__ = [
@@ -45,7 +46,7 @@ __all__ = [
     "parse_timestamp",
     "parse_manifest",
     "manifest_to_json",
-    "manifest_events",
+    "manifest_records",
     "registry_dump_records",
     "parse_registry_dump",
     "contribution_records",
@@ -185,18 +186,18 @@ def manifest_to_json(manifest: Manifest) -> str:
     return json.dumps(doc, indent=2)
 
 
-def manifest_events(manifest: Manifest, time: int) -> list[EcosystemEvent]:
-    """Events declaring the manifest's unit and its dependency edges.
+def manifest_records(manifest: Manifest, time: int) -> list[tuple[str, tuple]]:
+    """Records for :meth:`~pkgverse.eventlog.EventLog.append_records`
+    declaring the manifest's unit, ``("unit", (name, release, time))``, and
+    its dependency edges, ``("use", (name, release, dep_name, requirement))``.
 
     Targets carry the declared requirement verbatim as the release label
     (see module docstring for the linking semantics).
     """
-    events = [unit_event(manifest.name, manifest.release, time)]
-    for dep_name, rng in manifest.dependencies:
-        events.append(
-            use_event((manifest.name, manifest.release), (dep_name, rng.raw or str(rng)))
-        )
-    return events
+    name, release = manifest.name, manifest.release
+    return [("unit", (name, release, time))] + [
+        ("use", (name, release, dep_name, rng.raw or str(rng))) for dep_name, rng in manifest.dependencies
+    ]
 
 
 # --- registry dumps -----------------------------------------------------------

@@ -295,15 +295,6 @@ class TestPackageProjection:
         snap = random_universe(rng, 30).timed_snapshot(40)
         assert snap.package_dependency_edges() is snap.package_dependency_edges()
 
-    def test_snapshot_projection_at_an_earlier_instant(self, rng):
-        for _ in range(20):
-            g = random_universe(rng, rng.randint(1, 30))
-            snap = g.timed_snapshot(rng.randint(0, 40))
-            for t in range(-1, snap.at + 3):
-                expected = brute_snapshot(g, min(t, snap.at)).package_dependency_edges()
-                assert snap.package_dependency_edges(t) == expected
-            assert snap.package_dependency_edges(snap.at) is snap.package_dependency_edges()
-
 
 class TestDiff:
     def test_growth_step_delta(self):

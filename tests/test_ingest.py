@@ -11,7 +11,7 @@ from pkgverse.ingest import (
     ColumnMap,
     Quarantined,
     load_registry_table,
-    manifest_events,
+    manifest_records,
     manifest_to_json,
     parse_contribution_events,
     parse_manifest,
@@ -112,9 +112,7 @@ class TestParseManifest:
 
     def test_manifest_events_carry_requirement_verbatim(self):
         m = parse_manifest('{"name":"a","version":"1.0.0","dependencies":{"b":"^1.0.0"}}')
-        events = manifest_events(m, time=50)
-        assert events[0].payload == {"name": "a", "release": "1.0.0", "time": 50}
-        assert events[1].payload == {"from": ["a", "1.0.0"], "to": ["b", "^1.0.0"]}
+        assert manifest_records(m, time=50) == [("unit", ("a", "1.0.0", 50)), ("use", ("a", "1.0.0", "b", "^1.0.0"))]
 
 
 DUMP_HEADER = "platform,name,version,released_at,dep_name,dep_requirement\n"
