@@ -25,7 +25,7 @@ import json
 import math
 import sys
 from collections import Counter
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, astuple, fields
 from pathlib import Path
 
@@ -92,6 +92,15 @@ def _emit_csv(args, rows) -> None:
         csv.writer(fh, lineterminator="\n").writerows(rows)
 
 
+@contextmanager
+def _reading(path):
+    """Report bytes of ``path`` that are not UTF-8 as a ParseError naming it."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: {exc}") from None
+
+
 def _replay_log(args):
     result = replay(args.log, strict=args.strict)
     if result.quarantine:
@@ -131,16 +140,13 @@ def _load_contribution_file(path, aliases) -> tuple[list[Contribution], list[Qua
     is reported on stderr."""
     contributions: list[Contribution] = []
     quarantined: list[Quarantined] = []
-    try:
-        with open(path, encoding="utf-8-sig") as fh:
-            for item in parse_contribution_events(fh, source=str(path)):
-                if isinstance(item, Quarantined):
-                    quarantined.append(item)
-                    print(f"quarantined {item.source}:{item.line_no}: {item.reason}", file=sys.stderr)
-                else:
-                    contributions.append(Contribution.from_payload(item.payload))
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: {exc}") from None
+    with open(path, encoding="utf-8-sig") as fh, _reading(path):
+        for item in parse_contribution_events(fh, source=str(path)):
+            if isinstance(item, Quarantined):
+                quarantined.append(item)
+                print(f"quarantined {item.source}:{item.line_no}: {item.reason}", file=sys.stderr)
+            else:
+                contributions.append(Contribution.from_payload(item.payload))
     developers = merge_identities([(c.developer, "") for c in contributions], aliases)
     return canonicalize_contributions(contributions, developers), quarantined
 
@@ -161,9 +167,8 @@ def cmd_ingest(args) -> int:
                 yield item
 
     with EventLog(args.log) as log:
-        for path in args.inputs:
-            path = Path(path)
-            try:
+        for path in map(Path, args.inputs):
+            with _reading(path):
                 if args.kind == "manifest":
                     sections = ("dependencies", "devDependencies") if args.include_dev else ("dependencies",)
                     manifest = parse_manifest(path.read_text(encoding="utf-8-sig"), sections)
@@ -175,8 +180,6 @@ def cmd_ingest(args) -> int:
                     else:
                         records = contribution_records(fh, source=str(path))
                     log.append_records(good(records))
-            except UnicodeDecodeError as exc:
-                raise ParseError(f"{path}: {exc}") from None
     summary = ", ".join(f"{n} {kind}" for kind, n in sorted(counts.items())) or "0 events"
     print(f"appended {summary}; {len(quarantined)} quarantined", file=sys.stderr)
     if quarantined:
@@ -300,17 +303,17 @@ def cmd_sample(args) -> int:
         contributions, quarantined = _load_contribution_file(args.contributions, result.aliases)
     popularity = None
     if args.popularity_csv:
-        with open(args.popularity_csv, newline="", encoding="utf-8-sig") as fh:
+        with open(args.popularity_csv, newline="", encoding="utf-8-sig") as fh, _reading(args.popularity_csv):
             rows = csv.DictReader(fh)
             popularity = {}
-            try:
-                for row in rows:
+            for row in rows:
+                try:
                     popularity[row["package"]] = score = float(row["score"])
                     if not math.isfinite(score):  # nan would break the ranking's order
                         raise ValueError(score)
-            except (KeyError, TypeError, ValueError):  # TypeError: a row too short to hold a score
-                where = f"{args.popularity_csv}:{rows.line_num}"
-                raise CsvError(f"{where}: expected a package and a finite numeric score") from None
+                except (KeyError, TypeError, ValueError):  # TypeError: a row too short to hold a score
+                    where = f"{args.popularity_csv}:{rows.line_num}"
+                    raise CsvError(f"{where}: expected a package and a finite numeric score") from None
     selected = sample_top_k(snap, spec, contributions=contributions, popularity=popularity)
     breakage = chain_breakage(snap, set(selected)) if args.measure_breakage else None
     if args.format == "csv":
@@ -328,6 +331,8 @@ def cmd_sample(args) -> int:
 
 
 def cmd_activity(args) -> int:
+    if args.threshold < 1:
+        raise PkgverseError(f"--threshold must be at least 1, got {args.threshold}")
     result = _replay_log(args)
     at = parse_timestamp(args.at) if args.at is not None else None
     report = activity_report(
@@ -346,7 +351,8 @@ def cmd_activity(args) -> int:
 
 
 def cmd_registries(args) -> int:
-    table = load_registry_table(args.table)
+    with _reading(args.table):
+        table = load_registry_table(args.table)
     if args.ecosystem:
         table = [r for r in table if r.ecosystem.lower() == args.ecosystem.lower()]
         if not table:
@@ -383,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
                                      "a shorter list overrides the leading ones and keeps the rest")
     p.add_argument("--include-dev", action="store_true", help="also ingest devDependencies")
     p.add_argument("--time", type=int, default=0, help="release time for manifest ingests (epoch seconds)")
-    _common_flags(p)
+    p.add_argument("--log", required=True, help="event log path (NDJSON)")
     p.set_defaults(func=cmd_ingest)
 
     p = commands.add_parser("snapshot", help="export the graph state at a time")

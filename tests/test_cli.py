@@ -126,6 +126,17 @@ class TestIngest:
         assert "Traceback" not in proc.stderr
         assert json.loads(log.read_text().splitlines()[1])["to"] == ["lib", "x.x"]
 
+    @pytest.mark.parametrize("flag", [["--strict"], ["--out", "nowhere/x"]], ids=["strict", "out"])
+    def test_flags_ingest_never_reads_are_usage_errors(self, tmp_path, capsys, flag):
+        dump = tmp_path / "d.csv"
+        dump.write_text("platform,name,version,released_at,dep_name,dep_requirement\nnpm,lib,1.0.0,5,,\n")
+        log = tmp_path / "log.ndjson"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["ingest", str(dump), "--kind", "dump", "--log", str(log), *flag])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        assert not log.exists()
+
     def test_contribution_ingest(self, tmp_path, contributions_file):
         log = tmp_path / "log.ndjson"
         code = main(["ingest", str(contributions_file), "--kind", "contributions", "--log", str(log)])
@@ -571,6 +582,14 @@ class TestActivity:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: not a duration")
 
+    @pytest.mark.parametrize("threshold", ["0", "-1"])
+    def test_threshold_below_1_exits_1_with_one_error_line(self, universe_log, capsys, threshold):
+        # with 0, a package nothing depends upon would be flagged dormant but depended upon
+        code = main(["activity", "--log", str(universe_log), "--package", "x", "--threshold", threshold])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err.splitlines() == [f"error: --threshold must be at least 1, got {threshold}"]
+
     def test_csv_format_single_row(self, universe_log, capsys):
         code = main(["activity", "--log", str(universe_log), "--package", "x",
                      "--window", "2s", "--at", "20", "--format", "csv"])
@@ -733,3 +752,19 @@ class TestUnreadableIngestInput:
         assert main([*argv, "--log", str(log), "--contributions", str(source)]) == 1
         [line] = capsys.readouterr().err.splitlines()
         assert line.startswith(f"error: {source}: 'utf-8' codec can't decode byte 0xff")
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["sample", "--metric", "popularity", "--k", "1", "--log", "LOG"], "--popularity-csv"),
+        (["registries"], "--table"),
+    ], ids=["popularity", "registries"])
+    def test_table_that_is_not_utf8_is_one_error_line(self, tmp_path, capsys, argv, flag):
+        log = tmp_path / "log.ndjson"
+        log.write_text('{"v":1,"seq":1,"kind":"unit","name":"app","release":"1.0.0","time":5}\n')
+        table = tmp_path / "table.csv"
+        table.write_bytes(b"package,score\napp,\xff\n")
+        argv = [str(log) if a == "LOG" else a for a in argv]
+        assert main([*argv, flag, str(table)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        [line] = err.splitlines()
+        assert line.startswith(f"error: {table}: 'utf-8' codec can't decode byte 0xff")
