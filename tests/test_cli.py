@@ -753,18 +753,16 @@ class TestUnreadableIngestInput:
         [line] = capsys.readouterr().err.splitlines()
         assert line.startswith(f"error: {source}: 'utf-8' codec can't decode byte 0xff")
 
-    @pytest.mark.parametrize("argv, flag", [
-        (["sample", "--metric", "popularity", "--k", "1", "--log", "LOG"], "--popularity-csv"),
-        (["registries"], "--table"),
+    @pytest.mark.parametrize("argv", [
+        ["sample", "--metric", "popularity", "--k", "1", "--log", "log.ndjson", "--popularity-csv"],
+        ["registries", "--table"],
     ], ids=["popularity", "registries"])
-    def test_table_that_is_not_utf8_is_one_error_line(self, tmp_path, capsys, argv, flag):
-        log = tmp_path / "log.ndjson"
-        log.write_text('{"v":1,"seq":1,"kind":"unit","name":"app","release":"1.0.0","time":5}\n')
-        table = tmp_path / "table.csv"
-        table.write_bytes(b"package,score\napp,\xff\n")
-        argv = [str(log) if a == "LOG" else a for a in argv]
-        assert main([*argv, flag, str(table)]) == 1
+    def test_table_that_is_not_utf8_is_one_error_line(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        Path("log.ndjson").write_text('{"v":1,"seq":1,"kind":"unit","name":"app","release":"1.0.0","time":5}\n')
+        Path("table.csv").write_bytes(b"package,score\napp,\xff\n")
+        assert main([*argv, "table.csv"]) == 1
         out, err = capsys.readouterr()
         assert out == ""
         [line] = err.splitlines()
-        assert line.startswith(f"error: {table}: 'utf-8' codec can't decode byte 0xff")
+        assert line.startswith("error: table.csv: 'utf-8' codec can't decode byte 0xff")
