@@ -27,6 +27,7 @@ import sys
 from collections import Counter
 from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, astuple, fields
+from itertools import chain
 from pathlib import Path
 
 from . import export
@@ -50,7 +51,7 @@ from .ingest import (
     contribution_records,
     load_registry_table,
     manifest_records,
-    parse_contribution_events,
+    parse_contributions,
     parse_decimal,
     parse_manifest,
     parse_timestamp,
@@ -82,14 +83,13 @@ def _output(args):
     return open(args.out, "w", encoding="utf-8") if getattr(args, "out", None) else nullcontext(sys.stdout)
 
 
-def _emit_json(args, doc) -> None:
+def _emit(args, doc, rows) -> None:
+    """Write ``doc`` as JSON when ``--format`` is json, else ``rows`` as CSV."""
     with _output(args) as fh:
-        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
-
-def _emit_csv(args, rows) -> None:
-    with _output(args) as fh:
-        csv.writer(fh, lineterminator="\n").writerows(rows)
+        if args.format == "json":
+            fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        else:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
 
 
 @contextmanager
@@ -141,12 +141,12 @@ def _load_contribution_file(path, aliases) -> tuple[list[Contribution], list[Qua
     contributions: list[Contribution] = []
     quarantined: list[Quarantined] = []
     with open(path, encoding="utf-8-sig") as fh, _reading(path):
-        for item in parse_contribution_events(fh, source=str(path)):
+        for item in parse_contributions(fh, source=str(path)):
             if isinstance(item, Quarantined):
                 quarantined.append(item)
                 print(f"quarantined {item.source}:{item.line_no}: {item.reason}", file=sys.stderr)
             else:
-                contributions.append(Contribution.from_payload(item.payload))
+                contributions.append(item)
     developers = merge_identities([(c.developer, "") for c in contributions], aliases)
     return canonicalize_contributions(contributions, developers), quarantined
 
@@ -227,9 +227,8 @@ def cmd_resolve(args) -> int:
     conflicts = detect_conflicts(tree)
     if args.style == "flat":
         tree = flatten_tree(tree)
-    if args.format == "lock":
-        _emit_csv(args, [("package", "path"), *iter_lock_entries(tree)])
-    else:
+    doc = None
+    if args.format == "json":  # unfolds the whole tree, so a lock file does not build it
         doc = {
             "style": args.style,
             "root": tree_to_dict(tree),
@@ -237,7 +236,7 @@ def cmd_resolve(args) -> int:
                 {"name": c.name, "versions": sorted(c.versions)} for c in conflicts
             ],
         }
-        _emit_json(args, doc)
+    _emit(args, doc, chain([("package", "path")], iter_lock_entries(tree)))
     print(f"{len(conflicts)} version conflicts", file=sys.stderr)
     return _exit_code(result.quarantine)
 
@@ -306,26 +305,27 @@ def cmd_sample(args) -> int:
         with open(args.popularity_csv, newline="", encoding="utf-8-sig") as fh, _reading(args.popularity_csv):
             rows = csv.DictReader(fh)
             popularity = {}
-            for row in rows:
-                try:
-                    popularity[row["package"]] = score = float(row["score"])
-                    if not math.isfinite(score):  # nan would break the ranking's order
-                        raise ValueError(score)
-                except (KeyError, TypeError, ValueError):  # TypeError: a row too short to hold a score
-                    where = f"{args.popularity_csv}:{rows.line_num}"
-                    raise CsvError(f"{where}: expected a package and a finite numeric score") from None
+            try:
+                for row in rows:
+                    try:
+                        popularity[row["package"]] = score = float(row["score"])
+                        if not math.isfinite(score):  # nan would break the ranking's order
+                            raise ValueError(score)
+                    except (KeyError, TypeError, ValueError):  # TypeError: a row too short to hold a score
+                        where = f"{args.popularity_csv}:{rows.line_num}"
+                        raise CsvError(f"{where}: expected a package and a finite numeric score") from None
+            except csv.Error as exc:  # e.g. a cell longer than csv.field_size_limit()
+                # the DictReader counts a row once it is read; its csv reader counts the failing one too
+                raise CsvError(f"{args.popularity_csv}:{rows.reader.line_num}: {exc}") from None
     selected = sample_top_k(snap, spec, contributions=contributions, popularity=popularity)
     breakage = chain_breakage(snap, set(selected)) if args.measure_breakage else None
-    if args.format == "csv":
-        counts = asdict(breakage) if breakage is not None else {}
-        columns = sorted(counts)
-        rows = ([rank, name] + [counts[k] for k in columns] for rank, name in enumerate(selected, 1))
-        _emit_csv(args, [["rank", "package"] + columns, *rows])
-    else:
-        doc: dict = {"metric": args.metric, "k": args.k, "selected": selected}
-        if breakage is not None:
-            doc["breakage"] = asdict(breakage)
-        _emit_json(args, doc)
+    doc: dict = {"metric": args.metric, "k": args.k, "selected": selected}
+    counts: dict = {}
+    if breakage is not None:
+        doc["breakage"] = counts = asdict(breakage)
+    columns = sorted(counts)
+    rows = ([rank, name] + [counts[k] for k in columns] for rank, name in enumerate(selected, 1))
+    _emit(args, doc, [["rank", "package"] + columns, *rows])
     print(f"selected {len(selected)} packages", file=sys.stderr)
     return _exit_code(quarantined, result.quarantine)
 
@@ -343,10 +343,7 @@ def cmd_activity(args) -> int:
         dormant_threshold=args.threshold,
     )
     doc = asdict(report)
-    if args.format == "csv":
-        _emit_csv(args, [sorted(doc), [doc[k] for k in sorted(doc)]])
-    else:
-        _emit_json(args, doc)
+    _emit(args, doc, [sorted(doc), [doc[k] for k in sorted(doc)]])
     return _exit_code(result.quarantine)
 
 
@@ -357,10 +354,7 @@ def cmd_registries(args) -> int:
         table = [r for r in table if r.ecosystem.lower() == args.ecosystem.lower()]
         if not table:
             raise PkgverseError(f"unknown registry {args.ecosystem!r}")
-    if args.format == "json":
-        _emit_json(args, [asdict(r) for r in table])
-    else:
-        _emit_csv(args, [[f.name for f in fields(RegistryInfo)], *map(astuple, table)])
+    _emit(args, [asdict(r) for r in table], [[f.name for f in fields(RegistryInfo)], *map(astuple, table)])
     return EXIT_OK
 
 

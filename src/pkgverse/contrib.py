@@ -70,18 +70,6 @@ class Contribution:
     merged: bool = False
     title: str = ""
 
-    @classmethod
-    def from_payload(cls, payload: dict) -> "Contribution":
-        return cls(
-            id=payload["id"],
-            developer=payload["dev"],
-            target=payload["target"][0],
-            ctype=payload["ctype"],
-            time=payload["time"],
-            merged=payload.get("merged", False),
-            title=payload.get("title", ""),
-        )
-
 
 # --- identity merging -----------------------------------------------------------
 

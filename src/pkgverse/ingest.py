@@ -14,6 +14,9 @@ the row. A record that cannot be converted is yielded as a
 :class:`Quarantined` item, so one bad row cannot poison a large ingest.
 Dumps and contribution files each have one walker holding every row rule
 of its input, with an event view (``parse_*``) besides the record view.
+Contribution files have a third view, :func:`parse_contributions`, which
+yields :class:`~pkgverse.contrib.Contribution` values with their titles
+for the analyses, so no event or payload is built on the way.
 
 Use-edges in the event schema name a concrete ``(name, release)`` target.
 Dependency declarations, however, carry *ranges*; these are emitted
@@ -34,6 +37,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
+from .contrib import Contribution
 from .errors import CsvError, InvalidTimestamp, MissingField, ParseError
 from .eventlog import contribution_event, unit_event, use_event
 from .semver import VersionRange
@@ -51,6 +55,7 @@ __all__ = [
     "parse_registry_dump",
     "contribution_records",
     "parse_contribution_events",
+    "parse_contributions",
     "load_registry_table",
     "registry_info",
 ]
@@ -366,6 +371,15 @@ def _titled_event(record, title):
     return event
 
 
+def parse_contributions(reader, source: str = "<contributions>"):
+    """The contribution view of the contribution walker: :class:`Quarantined`
+    items and :class:`~pkgverse.contrib.Contribution` values, each with its
+    record's ``title`` when that is a string, else ``""``."""
+    return _contribution_rows(
+        reader, source, lambda record, title: Contribution(*record[1], title if isinstance(title, str) else "")
+    )
+
+
 # --- registry metadata -------------------------------------------------------------
 
 
@@ -390,21 +404,28 @@ def load_registry_table(path=None) -> list[RegistryInfo]:
     table_path = Path(path) if path is not None else _BUNDLED_TABLE
     rows: list[RegistryInfo] = []
     with table_path.open(newline="", encoding="utf-8-sig") as fh:
-        for row_no, row in enumerate(csv.DictReader(fh), start=2):
-            try:
-                style = row["tree_style"].strip().lower()
-                rows.append(
-                    RegistryInfo(
-                        ecosystem=row["ecosystem"].strip(),
-                        language=row["language"].strip(),
-                        tiobe_rank=row["tiobe_rank"].strip(),
-                        environment=row["environment"].strip(),
-                        tree_style="nested" if style.startswith("nested") else "flat",
-                        archive_url=row["archive_url"].strip(),
+        reader = csv.DictReader(fh)
+        row_no = 0  # of the last row read; the header is row 1
+        try:
+            if reader.fieldnames is not None:  # reads the header
+                row_no = 1
+            for row_no, row in enumerate(reader, start=2):
+                try:
+                    style = row["tree_style"].strip().lower()
+                    rows.append(
+                        RegistryInfo(
+                            ecosystem=row["ecosystem"].strip(),
+                            language=row["language"].strip(),
+                            tiobe_rank=row["tiobe_rank"].strip(),
+                            environment=row["environment"].strip(),
+                            tree_style="nested" if style.startswith("nested") else "flat",
+                            archive_url=row["archive_url"].strip(),
+                        )
                     )
-                )
-            except (KeyError, AttributeError):
-                raise CsvError(f"{table_path}:{row_no}: missing registry columns") from None
+                except (KeyError, AttributeError):
+                    raise CsvError(f"{table_path}:{row_no}: missing registry columns") from None
+        except csv.Error as exc:  # e.g. a cell longer than csv.field_size_limit()
+            raise CsvError(f"{table_path}:{row_no + 1}: {exc}") from None
     return rows
 
 

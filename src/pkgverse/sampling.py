@@ -297,10 +297,13 @@ def activity_report(
     the half-open interval ``(at - window, at]``. On either kind of graph
     only units released at or before ``at`` count, as in
     ``g.timed_snapshot(at)``, but the query reads the graph's own maps
-    instead of building that snapshot.
+    instead of building that snapshot. A ``window`` that is not positive or
+    a ``dormant_threshold`` below 1 raises :class:`InvalidRange`.
     """
     if window <= 0:
         raise InvalidRange(f"window must be positive, got {window}")
+    if dormant_threshold < 1:  # below 1 would flag a package nothing depends upon
+        raise InvalidRange(f"dormant_threshold must be at least 1, got {dormant_threshold}")
     live = isinstance(g, UniverseGraph)
     if at is None:
         if live and not g.unit_count():

@@ -45,7 +45,7 @@ from __future__ import annotations
 import operator
 import re
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .errors import NoMatchingVersion, VersionParseError
@@ -82,16 +82,17 @@ def _identifier_key(ident: str):
     return (1, 0, ident)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class Version:
     """A semantic version. Its precedence key is computed once, at
-    construction, and every comparison and the hash read it."""
+    construction, and is the one field every comparison and the hash read."""
 
-    major: int
-    minor: int
-    patch: int
-    prerelease: tuple[str, ...] = ()
-    build: tuple[str, ...] = ()
+    major: int = field(compare=False)
+    minor: int = field(compare=False)
+    patch: int = field(compare=False)
+    prerelease: tuple[str, ...] = field(default=(), compare=False)
+    build: tuple[str, ...] = field(default=(), compare=False)
+    _key: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         # build metadata is ignored in precedence
@@ -101,24 +102,6 @@ class Version:
     @property
     def triple(self) -> tuple[int, int, int]:
         return (self.major, self.minor, self.patch)
-
-    def __eq__(self, other) -> bool:
-        return self._key == other._key if isinstance(other, Version) else NotImplemented
-
-    def __lt__(self, other) -> bool:
-        return self._key < other._key if isinstance(other, Version) else NotImplemented
-
-    def __le__(self, other) -> bool:
-        return self._key <= other._key if isinstance(other, Version) else NotImplemented
-
-    def __gt__(self, other) -> bool:
-        return self._key > other._key if isinstance(other, Version) else NotImplemented
-
-    def __ge__(self, other) -> bool:
-        return self._key >= other._key if isinstance(other, Version) else NotImplemented
-
-    def __hash__(self):
-        return hash(self._key)
 
     def __str__(self) -> str:
         s = f"{self.major}.{self.minor}.{self.patch}"

@@ -753,6 +753,22 @@ class TestUnreadableIngestInput:
         [line] = capsys.readouterr().err.splitlines()
         assert line.startswith(f"error: {source}: 'utf-8' codec can't decode byte 0xff")
 
+    @pytest.mark.parametrize("argv, table", [
+        (["sample", "--metric", "popularity", "--k", "1", "--log", "log.ndjson", "--popularity-csv"],
+         "package,score\napp,1\nlib," + "9" * 200_000 + "\n"),
+        (["registries", "--table"],
+         "ecosystem,language,tiobe_rank,environment,tree_style,archive_url\n"
+         "npm,JavaScript,7,Node.js,nested,https://example.org\npypi," + "x" * 200_000 + ",1,CPython,flat,u\n"),
+    ], ids=["popularity", "registries"])
+    def test_cell_over_the_csv_limit_in_a_table_is_one_error_line(self, tmp_path, monkeypatch, capsys, argv, table):
+        monkeypatch.chdir(tmp_path)
+        Path("log.ndjson").write_text('{"v":1,"seq":1,"kind":"unit","name":"app","release":"1.0.0","time":5}\n')
+        Path("table.csv").write_text(table)
+        assert main([*argv, "table.csv"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == ["error: table.csv:3: field larger than field limit (131072)"]
+
     @pytest.mark.parametrize("argv", [
         ["sample", "--metric", "popularity", "--k", "1", "--log", "log.ndjson", "--popularity-csv"],
         ["registries", "--table"],

@@ -11,11 +11,42 @@ byte edits it by hand and says so in ``CHANGES.md``.
 
 import hashlib
 import json
+import random
 from pathlib import Path
 
 from pkgverse.cli import main
 
 TABLE = Path(__file__).with_name("golden_cli.json")
+
+
+def _random_log(seed: int, events: int = 80) -> str:
+    """A log drawn from ``random.Random(seed)``: units, and use and update
+    edges mostly between units declared before them, over a small pool of
+    names and releases, so that replay quarantines repeated releases,
+    unknown references and axiom violations; one line in ten has a field of
+    the wrong type, the non-ASCII name is escaped, and the log ends in a
+    torn fragment of one more line."""
+    rng = random.Random(seed)
+    names, releases = ["a", "b", "c", "é"], ["1.0.0", "1.1.0", "1.2.0", "2.0.0", "2.1.0", "3.0.0"]
+    declared, lines = [], []
+
+    def ref():  # three in four a declared unit
+        if declared and rng.randrange(4):
+            return list(rng.choice(declared))
+        return [rng.choice(names), rng.choice(releases)]
+
+    for seq in range(1, events + 1):
+        kind = rng.choice(["unit", "unit", "use", "use", "update"])
+        if kind == "unit":
+            declared.append((rng.choice(names), rng.choice(releases)))
+            payload = {"name": declared[-1][0], "release": declared[-1][1], "time": rng.randrange(100)}
+        else:
+            payload = {"from": ref(), "to": ref()}
+        if rng.randrange(10) == 0:
+            payload[rng.choice(sorted(payload))] = 1.5
+        lines.append(json.dumps({"v": 1, "seq": seq, "kind": kind, **payload}, separators=(",", ":")) + "\n")
+    return "".join(lines) + f'{{"v":1,"seq":{events + 1},"kind":"un'
+
 
 INPUTS = {
     # one row with an unreadable time is quarantined; the non-ASCII name is
@@ -53,6 +84,13 @@ INPUTS = {
         "devDependencies": {"parser": "2.0.0"},
     }),
     "pop.csv": "package,score\nutils,3\nparser,9\napp,1\ncafé,5\n",
+    "random.ndjson": _random_log(seed=19),
+    # one cell longer than csv.field_size_limit(), in the third row of each
+    "big-pop.csv": "package,score\nutils,3\nparser," + "9" * 200_000 + "\n",
+    "big-registries.csv": (
+        "ecosystem,language,tiobe_rank,environment,tree_style,archive_url\n"
+        "npm,JavaScript,7,Node.js,nested,https://example.org\npypi," + "x" * 200_000 + ",1,CPython,flat,u\n"
+    ),
 }
 
 LOG = ["--log", "eco.ndjson"]
@@ -94,6 +132,11 @@ STEPS = [
     ("registries json", ["registries", "--ecosystem", "npm", "--format", "json"]),
     ("error: root without a version", ["resolve", "--root", "app", *LOG]),
     ("error: unknown package", ["activity", "--package", "nope", *LOG]),
+    ("snapshot random log", ["snapshot", "--at", "60", "--log", "random.ndjson"]),
+    ("activity random log", ["activity", "--package", "a", "--window", "30s", "--log", "random.ndjson"]),
+    ("error: popularity cell over the csv limit", ["sample", "--metric", "popularity", "--k", "1",
+                                                   "--popularity-csv", "big-pop.csv", *LOG]),
+    ("error: registries cell over the csv limit", ["registries", "--table", "big-registries.csv"]),
 ]
 
 

@@ -3,9 +3,11 @@
 CLI ingest writes dump and contribution records through
 ``EventLog.append_records``; the event views (``parse_registry_dump``,
 ``parse_contribution_events``) through ``append_events`` must give the same
-bytes, report, summary and exit code. Replay applies canonical lines
-straight into the graph; the frozen generic loop in ``oracles`` must give
-the same graph, quarantine, contributions and aliases.
+bytes, report, summary and exit code. The contribution view
+(``parse_contributions``) must give the event view's quarantine and its
+payloads as ``Contribution`` values, line by line. Replay applies
+canonical lines straight into the graph; the frozen generic loop in
+``oracles`` must give the same graph, quarantine, contributions and aliases.
 """
 
 import contextlib
@@ -21,6 +23,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pkgverse import cli, eventlog
+from pkgverse.contrib import Contribution
 from pkgverse.errors import CorruptLog, SchemaError
 from pkgverse.eventlog import (
     EcosystemEvent,
@@ -32,7 +35,7 @@ from pkgverse.eventlog import (
     update_event,
     use_event,
 )
-from pkgverse.ingest import parse_contribution_events, parse_registry_dump
+from pkgverse.ingest import Quarantined, parse_contribution_events, parse_contributions, parse_registry_dump
 
 from oracles import reference_replay
 
@@ -109,7 +112,7 @@ def _contributions(draw):
                 "type": draw(st.sampled_from(["pr", "pull_request", "Issue", "discussion", "vote", 3])),
                 "time": draw(st.one_of(_TIME, st.integers(-5, 5), st.floats(allow_nan=True))),
             }
-            for key, values in (("merged", _VALUE), ("id", _VALUE), ("title", _TEXT), ("dev", _TEXT)):
+            for key, values in (("merged", _VALUE), ("id", _VALUE), ("title", _VALUE), ("dev", _TEXT)):
                 if draw(st.booleans()):
                     record[key] = draw(values)
             lines.append(json.dumps(record, ensure_ascii=draw(st.booleans())))
@@ -186,6 +189,24 @@ class TestIngestRoutes:
             with _patched():
                 assert cli.main(argv) == 0
             assert body.call_count == 1
+
+
+class TestContributionView:
+    @settings(deadline=None, max_examples=150)
+    @given(data=_contributions())
+    def test_contributions_are_the_event_payloads_field_by_field(self, data):
+        text = data.decode("utf-8-sig")
+
+        def from_event(item):
+            if isinstance(item, Quarantined):
+                return item
+            p = item.payload
+            return Contribution(p["id"], p["dev"], p["target"][0], p["ctype"], p["time"], p["merged"],
+                                p.get("title", ""))
+
+        expected = [from_event(item) for item in parse_contribution_events(io.StringIO(text), "c.ndjson")]
+        # repr: a quarantined record may hold a NaN, which equals no other NaN
+        assert repr(list(parse_contributions(io.StringIO(text), "c.ndjson"))) == repr(expected)
 
 
 # --- the record encoder against _line ----------------------------------------------------

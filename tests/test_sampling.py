@@ -303,6 +303,13 @@ class TestActivityReport:
         report = activity_report(g, "x", window=2, at=20, dormant_threshold=99)
         assert not report.dormant_but_depended_upon
 
+    @pytest.mark.parametrize("threshold", [0, -1])
+    def test_threshold_below_1_is_an_invalid_range(self, threshold):
+        g = UniverseGraph()
+        g.add_unit("lone", "1", 5)  # nothing depends upon it
+        with pytest.raises(InvalidRange, match=f"^dormant_threshold must be at least 1, got {threshold}$"):
+            activity_report(g, "lone", window=2, at=20, dormant_threshold=threshold)
+
     def test_later_snapshot_matches_live_graph(self, rng):
         g = UniverseGraph()
         a1 = g.add_unit("a", "1", 10)
@@ -328,8 +335,8 @@ class TestActivityReport:
         def outcome(g, name, window, at, threshold):
             try:
                 return activity_report(g, name, window, at=at, dormant_threshold=threshold)
-            except UnknownPackage:
-                return "UnknownPackage"
+            except (UnknownPackage, InvalidRange) as exc:  # InvalidRange: a threshold of 0
+                return type(exc).__name__
 
         for _ in range(40):
             g = random_universe(rng, rng.randint(1, 40), p_edge=rng.choice((0.02, 0.1, 0.3)))
