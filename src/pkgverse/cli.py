@@ -1,10 +1,12 @@
 """Command-line front end composing the analysis pipeline.
 
-Every subcommand operates on the event log, never on ad-hoc state, so any
-analysis can be replayed from the log bytes. Data documents go to stdout
-(or ``--out``); human-readable summaries go to stderr. Exit codes: 0 on
-success, 1 on fatal errors, 2 when the run completed but some events or
-records were quarantined.
+Every subcommand but ``registries`` replays the event log for its graph and
+developer aliases, but some read files the log does not hold: ``congruence``
+and ``sample --metric contributors`` read ``--contributions``, ``sample
+--metric popularity`` reads ``--popularity-csv``, and ``registries`` reads
+its table. Data documents go to stdout (or ``--out``); human-readable
+summaries go to stderr. Exit codes: 0 on success, 1 on fatal errors, 2 when
+the run completed but some events or records were quarantined.
 
 Subcommands::
 
@@ -24,6 +26,7 @@ import csv
 import json
 import math
 import sys
+from bisect import bisect_right
 from collections import Counter
 from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, astuple, fields
@@ -274,11 +277,15 @@ def cmd_congruence(args) -> int:
     width = end - start if args.cross_window else _parse_duration(args.window)
 
     windows = window_partition(start, end, width)
+    # each window joins only its bisected slice; a window without one has no pairs
+    contributions.sort(key=lambda c: (c.time, c.id))
+    times = [c.time for c in contributions]
     rows = []
     for window in windows:
-        dc = build_dc_graph(result.graph, contributions, window)
-        for pair in congruent_contributions(dc):
-            rows.append((window, pair))
+        lo, hi = bisect_right(times, window.start), bisect_right(times, window.end)
+        if lo < hi:
+            dc = build_dc_graph(result.graph, contributions[lo:hi], window)
+            rows.extend((window, pair) for pair in congruent_contributions(dc))
     with _output(args) as fh:
         export.write_congruence_csv(fh, rows)
     print(

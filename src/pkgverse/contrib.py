@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import re
 import statistics
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import AbstractSet
 
@@ -112,14 +113,8 @@ def merge_identities(
     lexicographically smallest remaining alias.
     """
     authors = list(dict.fromkeys((name, email) for name, email in raw_authors))
-    dsu = _Dsu()
-    originals: dict[str, str] = {}  # folded -> first original spelling
-
-    def string_node(text: str) -> str:
-        folded = text.casefold()
-        originals.setdefault(folded, text)
-        return "s:" + folded
-
+    dsu = _Dsu()  # nodes: author indices and case-folded identity strings
+    explicit: dict[str, str] = {}  # folded -> first spelling in extra_aliases
     bound_to: dict[str, str] = {}
     for canonical, alias in extra_aliases:
         owner = bound_to.setdefault(alias.casefold(), canonical.casefold())
@@ -127,54 +122,37 @@ def merge_identities(
             raise ConflictingAlias(
                 f"alias {alias!r} is bound to both {owner!r} and {canonical!r}"
             )
-        dsu.union(string_node(canonical), string_node(alias))
-    explicit_strings = {s.casefold() for pair in extra_aliases for s in pair}
+        for text in (canonical, alias):
+            explicit.setdefault(text.casefold(), text)
+        dsu.union(canonical.casefold(), alias.casefold())
 
     for idx, (name, email) in enumerate(authors):
-        node = ("a", idx)
-        dsu.find(node)
         if email:  # empty emails must not merge unrelated authors
-            dsu.union(node, string_node(email))
+            dsu.union(idx, email.casefold())
         # a bare name is a merge key only when an explicit alias names it
-        if name and name.casefold() in explicit_strings:
-            dsu.union(node, string_node(name))
+        if name and name.casefold() in explicit:
+            dsu.union(idx, name.casefold())
 
+    # each group's first author and candidate alias strings, in first-author
+    # order; a string that two groups would both claim is usable by neither
     groups: dict = {}
-    for idx in range(len(authors)):
-        groups.setdefault(dsu.find(("a", idx)), []).append(idx)
-
-    # gather candidate alias strings per group, then drop any string that
-    # two groups would both claim
-    claims: dict[str, set] = {}
-    candidate_aliases: dict[object, dict[str, str]] = {}
-    for root, members in groups.items():
-        candidates: dict[str, str] = {}
-        for idx in members:
-            name, email = authors[idx]
-            for text in (name, email):
-                if text:
-                    candidates.setdefault(text.casefold(), text)
-        for folded in explicit_strings:
-            if dsu.find("s:" + folded) == root:
-                candidates.setdefault(folded, originals[folded])
-        candidate_aliases[root] = candidates
-        for folded in candidates:
-            claims.setdefault(folded, set()).add(root)
-    ambiguous = {folded for folded, owners in claims.items() if len(owners) > 1}
+    for idx, (name, email) in enumerate(authors):
+        _, candidates = groups.setdefault(dsu.find(idx), (idx, {}))
+        for text in (name, email):
+            if text:
+                candidates.setdefault(text.casefold(), text)
+    for folded, text in explicit.items():
+        if (root := dsu.find(folded)) in groups:
+            groups[root][1].setdefault(folded, text)
+    claims = Counter(folded for _, candidates in groups.values() for folded in candidates)
 
     developers = []
-    ordered = sorted(groups.items(), key=lambda item: min(item[1]))
-    for group_no, (root, members) in enumerate(ordered):
-        aliases = {
-            text
-            for folded, text in candidate_aliases[root].items()
-            if folded not in ambiguous
-        }
+    for group_no, (first, candidates) in enumerate(groups.values()):
+        aliases = {text for folded, text in candidates.items() if claims[folded] == 1}
         if not aliases:
-            name, email = authors[min(members)]
+            name, email = authors[first]
             aliases = {f"{name or email or 'author'}#{group_no}"}
-        canonical = min(aliases)
-        developers.append(Developer(canonical_id=canonical, aliases=frozenset(aliases)))
+        developers.append(Developer(canonical_id=min(aliases), aliases=frozenset(aliases)))
     return sorted(developers, key=lambda d: d.canonical_id)
 
 
@@ -291,13 +269,7 @@ def window_partition(
         raise InvalidRange(f"empty range: start={start}, end={end}")
     if width <= 0:
         raise InvalidRange(f"window width must be positive, got {width}")
-    windows = []
-    lo = start
-    while lo < end:
-        hi = min(lo + width, end)
-        windows.append(Window(lo, hi))
-        lo = hi
-    return windows
+    return [Window(lo, min(lo + width, end)) for lo in range(start, end, width)]
 
 
 # --- dependency-contribution graph -----------------------------------------------------

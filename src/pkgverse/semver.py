@@ -219,8 +219,12 @@ class VersionRange:
     ``parse(str(parse(s)))`` round-trips to an equal value.
     """
 
-    clauses: tuple[tuple[_Comparator, ...], ...]
-    raw: str = ""
+    clauses: tuple[tuple[_Comparator, ...], ...] = field(compare=False)
+    raw: str = field(default="", compare=False)
+    _key: tuple = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_key", (self.clauses, None if self.clauses else self.raw))
 
     @classmethod
     def pin(cls, label: str) -> "VersionRange":
@@ -259,17 +263,6 @@ class VersionRange:
         if not self.clauses:
             return self.raw
         return " || ".join(" ".join(str(c) for c in clause) for clause in self.clauses)
-
-    def _key(self):
-        return (self.clauses, None if self.clauses else self.raw)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, VersionRange):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
 
 
 @lru_cache(maxsize=_MEMO_SIZE)

@@ -13,8 +13,10 @@ from operator import attrgetter
 import networkx as nx
 
 from pkgverse import eventlog
+from pkgverse.contrib import Developer
 from pkgverse.errors import (
     BranchingUpdate,
+    ConflictingAlias,
     CsvError,
     DuplicateUnit,
     InvalidTimestamp,
@@ -494,3 +496,112 @@ def reference_dot(snapshot) -> str:
         lines.append(f"  n{e.src} -> n{e.dst} [style=dashed];")
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+# --- identity merging ------------------------------------------------------------
+# A frozen copy of merge_identities as it gathered each group's candidate
+# aliases by scanning every explicit alias string once per group.
+
+
+class _ReferenceDsu:
+    def __init__(self):
+        self.parent: dict = {}
+
+    def find(self, x):
+        self.parent.setdefault(x, x)
+        root = x
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[x] != root:
+            self.parent[x], x = root, self.parent[x]
+        return root
+
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[rb] = ra
+
+
+def reference_merge_identities(
+    raw_authors, extra_aliases=()
+) -> list[Developer]:
+    """Partition raw (name, email) author records into developers.
+
+    The default merge key is the case-folded email; two same-named authors
+    with different emails stay distinct people. Explicit ``(canonical,
+    alias)`` pairs override the default and may merge groups that emails
+    alone cannot — alias strings are matched case-insensitively against
+    both names and emails. An alias string explicitly bound to two
+    different canonicals raises :class:`ConflictingAlias`.
+
+    Every raw author lands in exactly one developer. Identity strings that
+    would end up shared between two developers (e.g. the bare name of the
+    two John Smiths) are usable by neither and are dropped from both alias
+    sets, keeping alias sets disjoint. The canonical id is the
+    lexicographically smallest remaining alias.
+    """
+    authors = list(dict.fromkeys((name, email) for name, email in raw_authors))
+    dsu = _ReferenceDsu()
+    originals: dict[str, str] = {}  # folded -> first original spelling
+
+    def string_node(text: str) -> str:
+        folded = text.casefold()
+        originals.setdefault(folded, text)
+        return "s:" + folded
+
+    bound_to: dict[str, str] = {}
+    for canonical, alias in extra_aliases:
+        owner = bound_to.setdefault(alias.casefold(), canonical.casefold())
+        if owner != canonical.casefold():
+            raise ConflictingAlias(
+                f"alias {alias!r} is bound to both {owner!r} and {canonical!r}"
+            )
+        dsu.union(string_node(canonical), string_node(alias))
+    explicit_strings = {s.casefold() for pair in extra_aliases for s in pair}
+
+    for idx, (name, email) in enumerate(authors):
+        node = ("a", idx)
+        dsu.find(node)
+        if email:  # empty emails must not merge unrelated authors
+            dsu.union(node, string_node(email))
+        # a bare name is a merge key only when an explicit alias names it
+        if name and name.casefold() in explicit_strings:
+            dsu.union(node, string_node(name))
+
+    groups: dict = {}
+    for idx in range(len(authors)):
+        groups.setdefault(dsu.find(("a", idx)), []).append(idx)
+
+    # gather candidate alias strings per group, then drop any string that
+    # two groups would both claim
+    claims: dict[str, set] = {}
+    candidate_aliases: dict[object, dict[str, str]] = {}
+    for root, members in groups.items():
+        candidates: dict[str, str] = {}
+        for idx in members:
+            name, email = authors[idx]
+            for text in (name, email):
+                if text:
+                    candidates.setdefault(text.casefold(), text)
+        for folded in explicit_strings:
+            if dsu.find("s:" + folded) == root:
+                candidates.setdefault(folded, originals[folded])
+        candidate_aliases[root] = candidates
+        for folded in candidates:
+            claims.setdefault(folded, set()).add(root)
+    ambiguous = {folded for folded, owners in claims.items() if len(owners) > 1}
+
+    developers = []
+    ordered = sorted(groups.items(), key=lambda item: min(item[1]))
+    for group_no, (root, members) in enumerate(ordered):
+        aliases = {
+            text
+            for folded, text in candidate_aliases[root].items()
+            if folded not in ambiguous
+        }
+        if not aliases:
+            name, email = authors[min(members)]
+            aliases = {f"{name or email or 'author'}#{group_no}"}
+        canonical = min(aliases)
+        developers.append(Developer(canonical_id=canonical, aliases=frozenset(aliases)))
+    return sorted(developers, key=lambda d: d.canonical_id)

@@ -10,7 +10,8 @@ import pytest
 
 from pkgverse import export
 from pkgverse.cli import main
-from pkgverse.eventlog import EventLog, alias_event, replay, update_event, use_event
+from pkgverse.contrib import build_dc_graph
+from pkgverse.eventlog import EventLog, alias_event, replay, unit_event, update_event, use_event
 from pkgverse.fixtures import client_library_fixture, sample_universe_events
 
 from oracles import check_dot_document, reference_dot
@@ -447,6 +448,35 @@ class TestCongruence:
         assert proc.stdout == ""
         [line] = proc.stderr.splitlines()
         assert line.startswith("error: ") and "empty range" in line
+
+    def test_only_windows_holding_contributions_build_a_graph(self, tmp_path, monkeypatch, capsys):
+        log = tmp_path / "log.ndjson"
+        with EventLog(log) as events:
+            events.append(unit_event("lib", "1.0.0", 1))
+            events.append(unit_event("app", "1.0.0", 2))
+            events.append(use_event(("app", "1.0.0"), ("lib", "1.0.0")))
+        records = tmp_path / "c.ndjson"
+        records.write_text("".join(json.dumps(r) + "\n" for r in [
+            {"id": "c1", "author": "alice", "target": "app", "type": "pr", "time": 130, "merged": True},
+            {"id": "c2", "author": "alice", "target": "lib", "type": "issue", "time": 130},
+            {"id": "c3", "author": "bob", "target": "lib", "type": "issue", "time": 120},
+        ]))
+        windows = []
+
+        def counting(graph, contributions, window):
+            windows.append(window)
+            return build_dc_graph(graph, contributions, window)
+
+        monkeypatch.setattr("pkgverse.cli.build_dc_graph", counting)
+        assert main(["congruence", "--log", str(log), "--contributions", str(records), "--window", "1s",
+                     "--window-start", "0", "--window-end", "100000"]) == 0
+        out, err = capsys.readouterr()
+        assert [(w.start, w.end) for w in windows] == [(119, 120), (129, 130)]
+        assert out.splitlines() == [
+            "window_start,developer,client,library,client_contribution,library_contribution",
+            "129,alice,app,lib,c1,c2",
+        ]
+        assert err == "1 congruent pairs across 100000 windows; 0 developers excluded as bots\n"
 
 
 class TestSample:

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -19,7 +21,7 @@ from pkgverse.fixtures import bot_benchmark, client_library_fixture
 from pkgverse.graph import UniverseGraph
 
 from conftest import random_universe
-from oracles import congruence_brute_force
+from oracles import congruence_brute_force, reference_merge_identities
 
 
 def sorted_edges_congruence(g: DcGraph) -> list[CongruentPair]:
@@ -134,6 +136,37 @@ class TestMergeIdentities:
             assert members in by_canonical.values()
         assert {"Solo A", "solo-a@x.com"} in by_canonical.values()
         assert {"Solo B"} in by_canonical.values()
+
+    # a small pool, so that names and emails collide across authors and
+    # alias pairs, in case only too ("ß" folds to "ss"), and empty strings
+    # force name#n ids
+    _POOL = ("", "ann", "Ann", "ANN", "bob", "Bob", "a@x.org", "A@X.ORG", "b@x.org", "ann#0", "ß", "SS")
+
+    @staticmethod
+    def _outcome(merge, authors, aliases):
+        try:
+            return merge(authors, aliases)
+        except ConflictingAlias as exc:
+            return str(exc)
+
+    @settings(deadline=None, max_examples=500)
+    @given(
+        authors=st.lists(st.tuples(st.sampled_from(_POOL), st.sampled_from(_POOL)), max_size=10),
+        aliases=st.lists(st.tuples(st.sampled_from(_POOL), st.sampled_from(_POOL)), max_size=5),
+    )
+    def test_equals_reference(self, authors, aliases):
+        assert self._outcome(merge_identities, authors, aliases) == self._outcome(
+            reference_merge_identities, authors, aliases
+        )
+
+    def test_4000_authors_with_2000_aliases_merge_in_under_2_s(self):
+        authors = [(f"dev{i}", f"dev{i}@x.org") for i in range(4000)]
+        aliases = [(f"dev{i}", f"dev{i}-alt") for i in range(2000)]
+        started = time.perf_counter()
+        devs = merge_identities(authors, aliases)
+        assert time.perf_counter() - started < 2.0
+        assert len(devs) == 4000
+        assert {"dev7", "dev7@x.org", "dev7-alt"} in [d.aliases for d in devs]
 
 
 class TestCanonicalize:

@@ -91,6 +91,25 @@ INPUTS = {
         "ecosystem,language,tiobe_rank,environment,tree_style,archive_url\n"
         "npm,JavaScript,7,Node.js,nested,https://example.org\npypi," + "x" * 200_000 + ",1,CPython,flat,u\n"
     ),
+    # alias events merge "Alice", "ALICE" (a spelling differing only in
+    # case) and "a.jones" into one developer, who then works on both ends
+    # of app -> lib, and lib falls from two contributors to one
+    "aliases.ndjson": "".join(line + "\n" for line in [
+        '{"v":1,"seq":1,"kind":"unit","name":"lib","release":"1.0.0","time":10}',
+        '{"v":1,"seq":2,"kind":"unit","name":"app","release":"1.0.0","time":20}',
+        '{"v":1,"seq":3,"kind":"unit","name":"tool","release":"1.0.0","time":30}',
+        '{"v":1,"seq":4,"kind":"use","from":["app","1.0.0"],"to":["lib","1.0.0"]}',
+        '{"v":1,"seq":5,"kind":"use","from":["tool","1.0.0"],"to":["lib","1.0.0"]}',
+        '{"v":1,"seq":6,"kind":"developer-alias","canonical":"alice","alias":"a.jones"}',
+        '{"v":1,"seq":7,"kind":"developer-alias","canonical":"alice","alias":"ALICE"}',
+    ]),
+    "aliased-prs.ndjson": "".join(line + "\n" for line in [
+        '{"id": "a1", "author": "Alice", "target": "app", "type": "pr", "time": 100, "merged": true}',
+        '{"id": "a2", "author": "a.jones", "target": "lib", "type": "issue", "time": 110}',
+        '{"id": "a3", "author": "ALICE", "target": "lib", "type": "discussion", "time": 120}',
+        '{"id": "t1", "author": "bob", "target": "tool", "type": "pr", "time": 105, "merged": true}',
+        '{"id": "t2", "author": "carol", "target": "tool", "type": "issue", "time": 115}',
+    ]),
 }
 
 LOG = ["--log", "eco.ndjson"]
@@ -137,6 +156,11 @@ STEPS = [
     ("error: popularity cell over the csv limit", ["sample", "--metric", "popularity", "--k", "1",
                                                    "--popularity-csv", "big-pop.csv", *LOG]),
     ("error: registries cell over the csv limit", ["registries", "--table", "big-registries.csv"]),
+    ("congruence with log aliases", ["congruence", "--contributions", "aliased-prs.ndjson",
+                                     "--log", "aliases.ndjson"]),
+    ("sample contributors with log aliases", ["sample", "--metric", "contributors", "--k", "2",
+                                              "--contributions", "aliased-prs.ndjson", "--format", "csv",
+                                              "--log", "aliases.ndjson"]),
 ]
 
 
