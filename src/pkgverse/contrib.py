@@ -104,19 +104,23 @@ def merge_identities(
     alias)`` pairs override the default and may merge groups that emails
     alone cannot — alias strings are matched case-insensitively against
     both names and emails. An alias string explicitly bound to two
-    different canonicals raises :class:`ConflictingAlias`.
+    different canonicals raises :class:`ConflictingAlias`, and an empty
+    one :class:`ValueError`.
 
     Every raw author lands in exactly one developer. Identity strings that
     would end up shared between two developers (e.g. the bare name of the
     two John Smiths) are usable by neither and are dropped from both alias
-    sets, keeping alias sets disjoint. The canonical id is the
-    lexicographically smallest remaining alias.
+    sets, keeping alias sets disjoint; a developer left with none is named
+    ``name#n``, for an ``n`` that makes it no other alias. The canonical id
+    is the lexicographically smallest remaining alias.
     """
     authors = list(dict.fromkeys((name, email) for name, email in raw_authors))
     dsu = _Dsu()  # nodes: author indices and case-folded identity strings
     explicit: dict[str, str] = {}  # folded -> first spelling in extra_aliases
     bound_to: dict[str, str] = {}
     for canonical, alias in extra_aliases:
+        if not canonical or not alias:
+            raise ValueError(f"alias pair {(canonical, alias)!r} holds an empty string")
         owner = bound_to.setdefault(alias.casefold(), canonical.casefold())
         if owner != canonical.casefold():
             raise ConflictingAlias(
@@ -145,13 +149,18 @@ def merge_identities(
         if (root := dsu.find(folded)) in groups:
             groups[root][1].setdefault(folded, text)
     claims = Counter(folded for _, candidates in groups.values() for folded in candidates)
+    taken = {folded for folded, count in claims.items() if count == 1}
 
     developers = []
     for group_no, (first, candidates) in enumerate(groups.values()):
         aliases = {text for folded, text in candidates.items() if claims[folded] == 1}
-        if not aliases:
+        if not aliases:  # name#n, from the group's number to the first n no one holds
             name, email = authors[first]
-            aliases = {f"{name or email or 'author'}#{group_no}"}
+            n = group_no
+            while (fallback := f"{name or email or 'author'}#{n}").casefold() in taken:
+                n += 1
+            taken.add(fallback.casefold())
+            aliases = {fallback}
         developers.append(Developer(canonical_id=min(aliases), aliases=frozenset(aliases)))
     return sorted(developers, key=lambda d: d.canonical_id)
 

@@ -22,10 +22,8 @@ never changes but keeps its graph's columns alive. The first package
 projection after a write indexes each (client, library) pair at its first
 activation time, so the graph projects at any instant by bisecting a
 prefix, with no snapshot built; writes and replay do no extra work. A
-snapshot projects only the whole of itself. Snapshots build the lookup
-maps behind their read queries, their package projection and their export
-order from their own fields on first use, once each, and the queries
-themselves are shared with the live graph.
+snapshot projects only the whole of itself. A snapshot is a cut of its
+graph: its read queries filter the graph's own (see :class:`TimedSnapshot`).
 
 Structural rules enforced on every write:
 
@@ -40,15 +38,15 @@ in real registry dumps; by default they are accepted and recorded in
 :attr:`UniverseGraph.anomalies`, while ``strict=True`` rejects them.
 
 Unit references are stable integer handles assigned in insertion order.
-Construction is single-writer; any number of readers may query between
-writes, and snapshots are immutable values safe to share across threads.
+Construction is single-writer; any number of readers, of the graph or of
+its snapshots, may query between writes. Snapshots are immutable values.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from collections.abc import Set as AbstractSet
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, islice
 from operator import attrgetter
@@ -204,56 +202,7 @@ class _Span(AbstractSet):
         return repr(self._members())
 
 
-class _ReadQueries:
-    """Read queries shared by :class:`UniverseGraph` and :class:`TimedSnapshot`.
-
-    A subclass supplies ``unit(uid)``, which raises :class:`UnknownUnit`, and
-    the maps ``_by_name`` (name -> handles in handle order), ``_use_out`` and
-    ``_use_in`` (handle -> the handles it uses / that use it)."""
-
-    def names(self) -> set[str]:
-        return set(self._by_name)
-
-    def units_of_name(self, name: str) -> list[int]:
-        return list(self._by_name.get(name, ()))
-
-    def use_of(self, uid: int) -> set[int]:
-        """Out-neighbourhood over use-edges: everything ``uid`` uses."""
-        self.unit(uid)
-        return set(self._use_out.get(uid, ()))
-
-    def used_by(self, uid: int) -> set[int]:
-        """In-neighbourhood over use-edges: everything using ``uid``."""
-        self.unit(uid)
-        return set(self._use_in.get(uid, ()))
-
-    def update_chain(self, name: str) -> list[int]:
-        """All releases of ``name``, oldest first.
-
-        Update edges carry strictly increasing timestamps, so ordering by
-        (time, handle) respects every chain while interleaving units that
-        have no update edges. Unknown names yield an empty list.
-        """
-        return sorted(self._by_name.get(name, ()), key=lambda u: (self.unit(u).time, u))
-
-    def transitive_dependencies(self, uid: int) -> set[int]:
-        """Everything reachable from ``uid`` over use-edges, minus ``uid``.
-
-        Terminates on cyclic graphs; a unit on a cycle through itself is
-        still excluded from its own result.
-        """
-        self.unit(uid)
-        out, seen, stack = self._use_out, set(), [uid]
-        while stack:
-            for v in out.get(stack.pop(), ()):
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        seen.discard(uid)
-        return seen
-
-
-class UniverseGraph(_ReadQueries):
+class UniverseGraph:
     """Append-only graph of software units, use-edges and update-edges."""
 
     def __init__(self, strict: bool = False):
@@ -350,6 +299,46 @@ class UniverseGraph(_ReadQueries):
         """Handle of (name, release), or None."""
         return self._by_key.get((name, release))
 
+    def names(self) -> set[str]:
+        return set(self._by_name)
+
+    def units_of_name(self, name: str) -> list[int]:
+        return list(self._by_name.get(name, ()))
+
+    def use_of(self, uid: int) -> set[int]:
+        """Out-neighbourhood over use-edges: everything ``uid`` uses."""
+        self.unit(uid)
+        return set(self._use_out.get(uid, ()))
+
+    def used_by(self, uid: int) -> set[int]:
+        """In-neighbourhood over use-edges: everything using ``uid``."""
+        self.unit(uid)
+        return set(self._use_in.get(uid, ()))
+
+    def update_chain(self, name: str) -> list[int]:
+        """All releases of ``name``, oldest first.
+
+        Update edges carry strictly increasing timestamps, so ordering by
+        (time, handle) respects every chain while interleaving units that
+        have no update edges. Unknown names yield an empty list.
+        """
+        return sorted(self._by_name.get(name, ()), key=lambda u: (self.unit(u).time, u))
+
+    def transitive_dependencies(self, uid: int) -> set[int]:
+        """Everything reachable from ``uid`` over use-edges, minus ``uid``.
+
+        Terminates on cyclic graphs; a unit on a cycle through itself is
+        still excluded from its own result.
+        """
+        seen, stack = set(), [uid]
+        while stack:
+            for v in self.use_of(stack.pop()):
+                if v not in seen:
+                    seen.add(v)
+                    stack.append(v)
+        seen.discard(uid)
+        return seen
+
     @property
     def units(self) -> tuple[SoftwareUnit, ...]:
         return tuple(self._units)
@@ -384,7 +373,7 @@ class UniverseGraph(_ReadQueries):
             last = at
             for i, (times, _) in enumerate(cols):
                 his[i] = bisect_right(times, at, his[i], ends[i])
-            yield TimedSnapshot(at, *(_Span(times, values, 0, hi) for (times, values), hi in zip(cols, his)))
+            yield TimedSnapshot(at, *(_Span(t, v, 0, hi) for (t, v), hi in zip(cols, his)), self, *ends[:2])
 
     def package_dependency_edges(self, at: int | None = None) -> AbstractSet[tuple[str, str]]:
         """Package projection of the use-edges active at ``at`` (of every
@@ -427,65 +416,66 @@ class UniverseGraph(_ReadQueries):
 
 
 @dataclass(frozen=True)
-class TimedSnapshot(_ReadQueries):
-    """Frozen subgraph of everything released at or before ``at``.
+class TimedSnapshot:
+    """Frozen subgraph of everything released at or before ``at``: a cut of
+    the graph it was taken from, whose read queries filter the graph's own.
 
-    Equality and hashing consider only the declared fields, so two
-    snapshots are equal exactly when they contain the same units and
-    induced edges at the same instant, whether the fields are views of the
-    graph's time index or frozensets.
-
-    A view-backed snapshot keeps the graph's whole column lists alive, even
-    once a re-sort replaced them; a pickle or copy keeps only its members.
+    Equality and hashing consider only ``at``, ``units``, ``use_edges`` and
+    ``update_edges``, whether views of the graph's time index or frozensets.
+    A unit is in the cut when the graph held it at capture and it was
+    released at or before ``at``; a use-edge when both its ends are, or,
+    once the graph has gained a use-edge since capture, when ``use_edges``
+    holds it. So a snapshot never shows a later write, but it reads its
+    graph: query it between writes. It keeps the graph's column lists alive,
+    even once a re-sort replaced them; a pickle or copy carries its graph.
     """
 
     at: int
     units: AbstractSet[SoftwareUnit]
     use_edges: AbstractSet[UseEdge]
     update_edges: AbstractSet[UpdateEdge]
+    _graph: UniverseGraph = field(compare=False, repr=False)
+    _unit_count: int = field(compare=False, repr=False)  # at capture
+    _use_count: int = field(compare=False, repr=False)  # at capture
 
-    @cached_property
-    def _by_uid(self) -> dict[int, SoftwareUnit]:
-        return {u.uid: u for u in self.units}
+    def _has(self, uid: int) -> bool:
+        return uid < self._unit_count and self._graph._units[uid].time <= self.at
 
-    @cached_property
-    def _by_name(self) -> dict[str, list[int]]:
-        by_name: dict[str, list[int]] = {}
-        for u in sorted(self.units, key=attrgetter("uid")):
-            by_name.setdefault(u.name, []).append(u.uid)
-        return by_name
+    def _same_uses(self) -> bool:  # the graph has gained no use-edge since capture
+        return len(self._graph._use_timeline.cols[1]) == self._use_count
 
-    @cached_property
-    def _use_out(self) -> dict[int, set[int]]:
-        out: dict[int, set[int]] = {}
-        for e in self.use_edges:
-            out.setdefault(e.src, set()).add(e.dst)
-        return out
-
-    @cached_property
-    def _use_in(self) -> dict[int, set[int]]:
-        into: dict[int, set[int]] = {}
-        for e in self.use_edges:
-            into.setdefault(e.dst, set()).add(e.src)
-        return into
+    def _has_use(self, src: int, dst: int) -> bool:
+        if self._same_uses():
+            return self._has(src) and self._has(dst)
+        return UseEdge(src, dst) in self.use_edges
 
     def unit(self, uid: int) -> SoftwareUnit:
-        try:
-            return self._by_uid[uid]
-        except KeyError:
-            raise UnknownUnit(f"no unit with handle {uid!r} in snapshot") from None
+        if not (isinstance(uid, int) and uid >= 0 and self._has(uid)):
+            raise UnknownUnit(f"no unit with handle {uid!r} in snapshot")
+        return self._graph._units[uid]
 
     def find(self, name: str, release: str) -> int | None:
-        for uid in self._by_name.get(name, ()):
-            if self._by_uid[uid].release == release:
-                return uid
-        return None
+        uid = self._graph.find(name, release)
+        return uid if uid is not None and self._has(uid) else None
 
-    @cached_property
-    def _package_edges(self) -> frozenset[tuple[str, str]]:
-        by_uid = self._by_uid
-        pairs = ((by_uid[e.src].name, by_uid[e.dst].name) for e in self.use_edges)
-        return frozenset((a, b) for a, b in pairs if a != b)
+    def names(self) -> set[str]:
+        return {u.name for u in self.units}
+
+    def units_of_name(self, name: str) -> list[int]:
+        return [uid for uid in self._graph.units_of_name(name) if self._has(uid)]
+
+    def use_of(self, uid: int) -> set[int]:
+        self.unit(uid)
+        return {v for v in self._graph.use_of(uid) if self._has_use(uid, v)}
+
+    def used_by(self, uid: int) -> set[int]:
+        self.unit(uid)
+        return {v for v in self._graph.used_by(uid) if self._has_use(v, uid)}
+
+    def update_chain(self, name: str) -> list[int]:
+        return [uid for uid in self._graph.update_chain(name) if self._has(uid)]
+
+    transitive_dependencies = UniverseGraph.transitive_dependencies  # over this use_of
 
     @cached_property
     def _sorted_parts(self) -> tuple[list[SoftwareUnit], list[UseEdge], list[UpdateEdge]]:
@@ -498,16 +488,24 @@ class TimedSnapshot(_ReadQueries):
             sorted(self.update_edges, key=ends),
         )
 
-    def package_dependency_edges(self) -> frozenset[tuple[str, str]]:
+    def package_dependency_edges(self) -> AbstractSet[tuple[str, str]]:
         """Package-level projection of the snapshot's use-edges, computed
-        once. The projection at an earlier instant is the graph's
-        :meth:`UniverseGraph.package_dependency_edges`.
+        once: :meth:`UniverseGraph.package_dependency_edges` at ``at``, the
+        projection at any instant, while the graph has no later use-edge.
 
         Any use-edge between releases of two distinct names induces one
         (client, library) pair; edges between releases of the same name are
         not dependencies at package granularity and are dropped.
         """
-        return self._package_edges
+        return self._projection
+
+    @cached_property
+    def _projection(self) -> AbstractSet[tuple[str, str]]:
+        if self._same_uses():
+            return self._graph.package_dependency_edges(self.at)
+        units = self._graph._units
+        pairs = ((units[e.src].name, units[e.dst].name) for e in self.use_edges)
+        return frozenset((a, b) for a, b in pairs if a != b)
 
     def is_subgraph_of(self, other: "TimedSnapshot") -> bool:
         return (

@@ -53,15 +53,83 @@ def reachability_closure(g, uid: int) -> set[int]:
     return set(nx.descendants(dg, uid)) - {uid}
 
 
-def brute_snapshot(g: UniverseGraph, t: int) -> TimedSnapshot:
+class BruteSnapshot:
+    """A snapshot computed directly from the definition, answering every
+    query by scanning its own member sets. It equals, and hashes like, a
+    :class:`TimedSnapshot` with the same ``at`` and members."""
+
+    def __init__(self, at: int, units, use_edges, update_edges):
+        self.at = at
+        self.units = frozenset(units)
+        self.use_edges = frozenset(use_edges)
+        self.update_edges = frozenset(update_edges)
+
+    def _fields(self):
+        return (self.at, self.units, self.use_edges, self.update_edges)
+
+    def __eq__(self, other):
+        if not all(hasattr(other, f) for f in ("at", "units", "use_edges", "update_edges")):
+            return NotImplemented
+        return self._fields() == (other.at, other.units, other.use_edges, other.update_edges)
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return f"BruteSnapshot{self._fields()!r}"
+
+    def unit(self, uid: int) -> SoftwareUnit:
+        for u in self.units:
+            if u.uid == uid:
+                return u
+        raise UnknownUnit(f"no unit with handle {uid!r} in snapshot")
+
+    def find(self, name: str, release: str):
+        return next((u.uid for u in self.units if (u.name, u.release) == (name, release)), None)
+
+    def names(self) -> set[str]:
+        return {u.name for u in self.units}
+
+    def units_of_name(self, name: str) -> list[int]:
+        return sorted(u.uid for u in self.units if u.name == name)
+
+    def use_of(self, uid: int) -> set[int]:
+        self.unit(uid)
+        return edge_scan_out(self, uid)
+
+    def used_by(self, uid: int) -> set[int]:
+        self.unit(uid)
+        return edge_scan_in(self, uid)
+
+    def update_chain(self, name: str) -> list[int]:
+        return time_sorted_chain(self, name)
+
+    def transitive_dependencies(self, uid: int) -> set[int]:
+        self.unit(uid)
+        return reachability_closure(self, uid)
+
+    def package_dependency_edges(self) -> frozenset:
+        name_of = {u.uid: u.name for u in self.units}
+        pairs = ((name_of[e.src], name_of[e.dst]) for e in self.use_edges)
+        return frozenset((a, b) for a, b in pairs if a != b)
+
+    def is_subgraph_of(self, other) -> bool:
+        return (
+            self.units <= other.units
+            and self.use_edges <= other.use_edges
+            and self.update_edges <= other.update_edges
+        )
+
+
+def brute_snapshot(g: UniverseGraph, t: int) -> BruteSnapshot:
     """Filter-and-induce computed directly from the definition."""
     units = frozenset(u for u in g.units if u.time <= t)
     uids = {u.uid for u in units}
-    return TimedSnapshot(
-        at=t,
-        units=units,
-        use_edges=frozenset(e for e in g.use_edges if {e.src, e.dst} <= uids),
-        update_edges=frozenset(e for e in g.update_edges if {e.src, e.dst} <= uids),
+    return BruteSnapshot(
+        t,
+        units,
+        (e for e in g.use_edges if {e.src, e.dst} <= uids),
+        (e for e in g.update_edges if {e.src, e.dst} <= uids),
     )
 
 
@@ -500,7 +568,9 @@ def reference_dot(snapshot) -> str:
 
 # --- identity merging ------------------------------------------------------------
 # A frozen copy of merge_identities as it gathered each group's candidate
-# aliases by scanning every explicit alias string once per group.
+# aliases by scanning every explicit alias string once per group, with the
+# rules added since: empty alias strings are refused, and a name#n id is
+# never an alias another developer holds.
 
 
 class _ReferenceDsu:
@@ -551,6 +621,8 @@ def reference_merge_identities(
 
     bound_to: dict[str, str] = {}
     for canonical, alias in extra_aliases:
+        if not canonical or not alias:
+            raise ValueError(f"alias pair {(canonical, alias)!r} holds an empty string")
         owner = bound_to.setdefault(alias.casefold(), canonical.casefold())
         if owner != canonical.casefold():
             raise ConflictingAlias(
@@ -590,6 +662,7 @@ def reference_merge_identities(
         for folded in candidates:
             claims.setdefault(folded, set()).add(root)
     ambiguous = {folded for folded, owners in claims.items() if len(owners) > 1}
+    taken = set(claims) - ambiguous  # strings some developer keeps
 
     developers = []
     ordered = sorted(groups.items(), key=lambda item: min(item[1]))
@@ -601,7 +674,11 @@ def reference_merge_identities(
         }
         if not aliases:
             name, email = authors[min(members)]
-            aliases = {f"{name or email or 'author'}#{group_no}"}
+            n = group_no
+            while f"{name or email or 'author'}#{n}".casefold() in taken:
+                n += 1
+            aliases = {f"{name or email or 'author'}#{n}"}
+            taken |= {a.casefold() for a in aliases}
         canonical = min(aliases)
         developers.append(Developer(canonical_id=canonical, aliases=frozenset(aliases)))
     return sorted(developers, key=lambda d: d.canonical_id)

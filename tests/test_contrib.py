@@ -146,8 +146,8 @@ class TestMergeIdentities:
     def _outcome(merge, authors, aliases):
         try:
             return merge(authors, aliases)
-        except ConflictingAlias as exc:
-            return str(exc)
+        except (ConflictingAlias, ValueError) as exc:
+            return type(exc).__name__, str(exc)
 
     @settings(deadline=None, max_examples=500)
     @given(
@@ -155,9 +155,22 @@ class TestMergeIdentities:
         aliases=st.lists(st.tuples(st.sampled_from(_POOL), st.sampled_from(_POOL)), max_size=5),
     )
     def test_equals_reference(self, authors, aliases):
-        assert self._outcome(merge_identities, authors, aliases) == self._outcome(
-            reference_merge_identities, authors, aliases
-        )
+        outcome = self._outcome(merge_identities, authors, aliases)
+        assert outcome == self._outcome(reference_merge_identities, authors, aliases)
+        if isinstance(outcome, list):  # alias sets stay disjoint, up to case
+            folded = [a.casefold() for d in outcome for a in d.aliases]
+            assert len(folded) == len(set(folded))
+
+    def test_name_n_ids_are_no_other_developers_alias(self):
+        # "ann" is shared, so its group falls back to an id; ann#0 is taken
+        devs = merge_identities([("ann", ""), ("Ann", ""), ("ann#0", "")])
+        assert [sorted(d.aliases) for d in devs] == [["Ann#2"], ["ann#0"], ["ann#1"]]
+        assert len({d.canonical_id for d in devs}) == 3
+
+    @pytest.mark.parametrize("pair", [("ann", ""), ("", "ann"), ("", "")])
+    def test_empty_alias_string_is_rejected(self, pair):
+        with pytest.raises(ValueError, match="alias pair .* holds an empty string"):
+            merge_identities([("ann", "")], [pair])
 
     def test_4000_authors_with_2000_aliases_merge_in_under_2_s(self):
         authors = [(f"dev{i}", f"dev{i}@x.org") for i in range(4000)]

@@ -19,7 +19,7 @@ from pkgverse.errors import (
     UnknownUnit,
 )
 from pkgverse.fixtures import sample_universe, sample_universe_extended
-from pkgverse.graph import GrowthDelta, TimedSnapshot, UniverseGraph, UseEdge, diff
+from pkgverse.graph import GrowthDelta, UniverseGraph, UseEdge, diff
 from pkgverse.sampling import snapshot_series
 
 from conftest import random_universe
@@ -470,6 +470,28 @@ def _write(g: UniverseGraph, op) -> None:
         pass
 
 
+def _assert_queries_match(snap, oracle, g: UniverseGraph) -> None:
+    """Every read query of ``snap`` answers as the scan oracle ``oracle``,
+    probed with every name and handle of ``g`` and some that are in none."""
+    assert snap.names() == oracle.names()
+    for name in sorted({u.name for u in g.units}) + ["ghost"]:
+        assert snap.units_of_name(name) == oracle.units_of_name(name)
+        assert snap.update_chain(name) == oracle.update_chain(name)
+    for u in g.units:
+        assert snap.find(u.name, u.release) == oracle.find(u.name, u.release)
+    queries = ("unit", "use_of", "used_by", "transitive_dependencies")
+    for uid in range(-1, g.unit_count() + 1):
+        try:
+            expected = [getattr(oracle, q)(uid) for q in queries]
+        except UnknownUnit:
+            for q in queries:
+                with pytest.raises(UnknownUnit):
+                    getattr(snap, q)(uid)
+            continue
+        assert [getattr(snap, q)(uid) for q in queries] == expected
+    assert snap.package_dependency_edges() == oracle.package_dependency_edges()
+
+
 class TestSweep:
     @settings(deadline=None, max_examples=300)
     @given(
@@ -492,6 +514,20 @@ class TestSweep:
             for op in during[k] if k < len(during) else ():
                 _write(g, op)
         assert got == expected == brute
+        for snap, oracle in zip(got, brute):
+            _assert_queries_match(snap, oracle, g)
+
+    def test_writes_between_steps_do_not_show_in_queries(self):
+        g = UniverseGraph()
+        a = g.add_unit("a", "1", 1)
+        sweep = g.timed_snapshots([5, 5])
+        first = next(sweep)
+        b = g.add_unit("b", "1", 2)
+        g.add_use_edge(a, b)
+        second = next(sweep)
+        assert first == second
+        assert second.find("b", "1") is None and second.names() == {"a"}
+        assert second.use_of(a) == set() and not second.package_dependency_edges()
 
     def test_empty_graph_and_duplicate_instants(self):
         g = UniverseGraph()
@@ -511,6 +547,52 @@ class TestSweep:
     def test_series_is_the_sweep(self):
         g = random_universe(random.Random(3), 60)
         assert snapshot_series(g, -2, 70, 9) == [brute_snapshot(g, t) for t in range(-2, 71, 9)]
+
+
+# a step: a write or a point snapshot (see _writes), a lazy sweep over some
+# instants, or one step of a sweep already started (picked modulo their count)
+_steps = st.lists(
+    st.one_of(
+        _writes,
+        st.tuples(st.just("sweep"), st.lists(st.integers(-1, 11), max_size=4).map(sorted), st.just(0)),
+        st.tuples(st.just("next"), st.integers(0, 3), st.just(0)),
+    ),
+    min_size=20,
+    max_size=60,
+)
+
+
+class TestSnapshotQueries:
+    @settings(deadline=None, max_examples=200)
+    @given(steps=_steps)
+    def test_queries_equal_the_oracle_at_capture(self, steps):
+        """Each query of each snapshot, point or swept, answers as the scan
+        oracle taken at capture, both then and after every later write,
+        including edges between units the snapshot holds."""
+        g = UniverseGraph()
+        taken, sweeps = [], []  # sweeps: [sweep, instants, oracles at its first step]
+        for op in steps:
+            kind, x, _ = op
+            if kind == "read":
+                taken.append((g.timed_snapshot(x), brute_snapshot(g, x)))
+            elif kind == "sweep":
+                sweeps.append([g.timed_snapshots(x), x, None])
+            elif kind == "next" and sweeps:
+                sweep = sweeps[x % len(sweeps)]
+                if sweep[2] is None:
+                    sweep[2] = iter([brute_snapshot(g, t) for t in sweep[1]])
+                snap = next(sweep[0], None)
+                if snap is None:
+                    sweeps.remove(sweep)
+                else:
+                    taken.append((snap, next(sweep[2])))
+            elif kind != "next":
+                _write(g, op)
+            if kind in ("read", "next") and len(taken) % 2:
+                _assert_queries_match(*taken[-1], g)
+        for snap, oracle in taken:
+            assert snap == oracle
+            _assert_queries_match(snap, oracle, g)
 
 
 def _frozen(snap):
@@ -577,14 +659,13 @@ class TestSnapshotViews:
 
     def test_older_units_written_later_do_not_show(self):
         g = random_universe(random.Random(5), 40)
-        snap = g.timed_snapshot(20)
-        before = tuple(map(frozenset, _frozen(snap)))
+        snap, oracle = g.timed_snapshot(20), brute_snapshot(g, 20)
         new = [g.add_unit("late", str(i), i) for i in range(10)]  # all older than 20
         g.add_use_edge(new[1], new[0])
         g.add_update_edge(new[0], new[1])
         g.timed_snapshot(20)  # re-sorts the time index into new lists
-        assert _frozen(snap) == before
-        assert snap == TimedSnapshot(20, *before) and hash(snap) == hash(TimedSnapshot(20, *before))
+        assert _frozen(snap) == _frozen(oracle)
+        assert snap == oracle and hash(snap) == hash(oracle)
         assert g.timed_snapshot(20) != snap
 
     def test_pickle_and_deepcopy_round_trip(self):
@@ -597,13 +678,20 @@ class TestSnapshotViews:
         assert pickle.loads(pickle.dumps(delta)) == delta
 
     def test_pickle_never_carries_the_rest_of_the_column(self):
+        # a delta's fields are views of the graph's columns; a pickle holds
+        # only their members
         g = UniverseGraph()
         a, b = g.add_unit("a", "1", 1), g.add_unit("b", "1", 1)
         g.add_use_edge(a, b)
-        empty = g.timed_snapshot(0)
         for i in range(10_000):
             g.add_unit("c", str(i), 2)
-        assert not empty.units and len(pickle.dumps(empty)) < 1024
+        delta = diff(g.timed_snapshot(0), g.timed_snapshot(1))
+        assert len(delta.added_units) == 2 and len(pickle.dumps(delta)) < 1024
+        # a snapshot's pickle or copy carries its graph, and answers every
+        # query as the original does
+        snap, oracle = g.timed_snapshot(1), brute_snapshot(g, 1)
+        for copied in (pickle.loads(pickle.dumps(snap)), copy.deepcopy(snap)):
+            _assert_queries_match(copied, oracle, g)
 
     def test_series_and_diffs_hold_no_copy_of_the_graph(self):
         g = random_universe(random.Random(7), 5_000, p_edge=0.0004)
