@@ -18,7 +18,6 @@ from .graph import (
     diff,
 )
 from .eventlog import (
-    EcosystemEvent,
     EventLog,
     QuarantinedEvent,
     ReplayResult,
@@ -80,7 +79,6 @@ __all__ = [
     "TimedSnapshot",
     "GrowthDelta",
     "diff",
-    "EcosystemEvent",
     "EventLog",
     "QuarantinedEvent",
     "ReplayResult",

@@ -51,7 +51,7 @@ class SnapshotOrderError(PkgverseError):
 # --- event log ---------------------------------------------------------------
 
 class SchemaError(PkgverseError):
-    """An event payload does not match the wire schema for its kind."""
+    """An event does not match the wire schema for its kind."""
 
 
 class CorruptLog(PkgverseError):

@@ -21,11 +21,12 @@ and everything that reads or writes log lines derives from it; one event per lin
 ``seq`` is assigned by the log on append, never by the caller, so a single
 log is gap-free. Temporal queries key on release time.
 
-The log writes and reads an event as its kind and its leaf values, in
-``SCHEMA`` order; a ``[name, release]`` field gives two leaves. The log
-line is the canonical form of an event: each kind's line body has one slot
-per leaf, and one encoder per kind checks each leaf as it writes it.
-Payloads are flattened into leaves for it, and :func:`validate_payload`
+The log writes and reads an event as a record: its kind and its leaf
+values, in ``SCHEMA`` order, such as ``("use", ("a", "1", "b", "2"))``; a
+``[name, release]`` field gives two leaves. The constructors
+(:func:`unit_event` …) build records. The log line is the canonical form
+of an event: each kind's line body has one slot per leaf, and one encoder
+per kind checks each leaf as it writes it. :func:`validate_payload`
 returns what a payload's line decodes to.
 
 Replay turns every line into its kind and leaves and applies them in one
@@ -33,36 +34,34 @@ step per kind. A line as the encoders write it (ASCII text without escapes,
 ints of at most 100 digits) gives its leaves off one regex, built from the
 same line bodies. Any other valid spelling (escapes, non-ASCII text, other
 key orders, whitespace, extra fields) is decoded by ``json.loads``, then
-flattened and checked as the writers do; both give the same result.
+flattened into leaves and checked by the kind's encoder, as an appended
+record is; both give the same result.
 
 A record commits with its trailing newline. ``append`` writes and flushes
-one line; ``append_events`` and ``append_records`` write in chunks of whole
-lines, flushed once each, so a batch reaches the file before the call
-returns but not line by line. One process writes a given log at a time;
-readers may stream concurrently and see whole records plus, at most, a
-torn final fragment of a write in progress or an interrupted one. Replay
-reports that fragment as a ``TornTail`` quarantine entry, and the next
-append truncates it before writing. A final line without its newline that
-is still a whole JSON object is committed: replay applies it, and the next
-append writes the missing newline first.
+one line; ``append_records`` writes in chunks of whole lines, flushed once
+each, so a batch reaches the file before the call returns but not line by
+line. One process writes a given log at a time; readers may stream
+concurrently and see whole records plus, at most, a torn final fragment of
+a write in progress or an interrupted one. Replay reports that fragment as
+a ``TornTail`` quarantine entry, and the next append truncates it before
+writing. A final line without its newline that is still a whole JSON
+object is committed: replay applies it, and the next append writes the
+missing newline first.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import os
 import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import NamedTuple
 
 from .errors import CorruptLog, PkgverseError, SchemaError, TornTail, UnknownUnit
 from .graph import UniverseGraph
 
 __all__ = [
-    "EcosystemEvent",
     "EventLog",
     "QuarantinedEvent",
     "ReplayResult",
@@ -77,21 +76,11 @@ __all__ = [
 SCHEMA_VERSION = 1
 CONTRIBUTION_TYPES = ("pr", "issue", "discussion")
 
-# append_events writes and flushes its lines in chunks of about this many
+# append_records writes and flushes its lines in chunks of about this many
 # characters; lines are ASCII, so characters are bytes
 _CHUNK_CHARS = 1 << 16
 # _scan_last_seq reads the file backwards in blocks of this many bytes
 _TAIL_BLOCK = 1 << 13
-
-
-class EcosystemEvent(NamedTuple):
-    """One event: its kind and its payload, checked against :data:`SCHEMA`
-    when appended; the log assigns its ``seq``. A named tuple, so it is
-    immutable, builds positionally or by keyword, and compares equal to a
-    plain ``(kind, payload)`` tuple. The payload dict itself is mutable."""
-
-    kind: str
-    payload: dict
 
 
 @dataclass(frozen=True, slots=True)
@@ -289,42 +278,38 @@ def _lines_backwards(fh, end: int):
 
 
 # --- convenience constructors ------------------------------------------------
-# Each builds a fresh payload dict with SCHEMA's keys in SCHEMA's order, and
-# the event through tuple.__new__, which skips the Python-level __new__ that
-# NamedTuple generates (about half the cost of building an event).
-_event = functools.partial(tuple.__new__, EcosystemEvent)
+# Each builds a ``(kind, leaf values)`` record, its leaves in SCHEMA's order.
 
 
-def unit_event(name: str, release: str, time: int) -> EcosystemEvent:
-    return _event(("unit", {"name": name, "release": release, "time": int(time)}))
+def unit_event(name: str, release: str, time: int) -> tuple[str, tuple]:
+    return "unit", (name, release, int(time))
 
 
-def use_event(src: tuple[str, str], dst: tuple[str, str]) -> EcosystemEvent:
-    return _event(("use", {"from": list(src), "to": list(dst)}))
+def use_event(src: tuple[str, str], dst: tuple[str, str]) -> tuple[str, tuple]:
+    return "use", (*src, *dst)
 
 
-def update_event(src: tuple[str, str], dst: tuple[str, str]) -> EcosystemEvent:
-    return _event(("update", {"from": list(src), "to": list(dst)}))
+def update_event(src: tuple[str, str], dst: tuple[str, str]) -> tuple[str, tuple]:
+    return "update", (*src, *dst)
 
 
 def contribution_event(
     cid: str, dev: str, target: str, ctype: str, time: int, merged: bool = False
-) -> EcosystemEvent:
-    payload = {"id": cid, "dev": dev, "target": [target], "ctype": ctype, "time": int(time), "merged": bool(merged)}
-    return _event(("contribution", payload))
+) -> tuple[str, tuple]:
+    return "contribution", (cid, dev, target, ctype, int(time), bool(merged))
 
 
-def alias_event(canonical: str, alias: str) -> EcosystemEvent:
-    return _event(("developer-alias", {"canonical": canonical, "alias": alias}))
+def alias_event(canonical: str, alias: str) -> tuple[str, tuple]:
+    return "developer-alias", (canonical, alias)
 
 
 class EventLog:
     """A single NDJSON log file, opened lazily for appends.
 
     The append handle stays open across calls; earlier bytes are never
-    rewritten. ``append`` flushes its line before returning, the batch
-    writers once per chunk of whole lines. Use as a context manager or
-    call :meth:`close` when done writing.
+    rewritten. ``append`` flushes its line before returning,
+    ``append_records`` once per chunk of whole lines. Use as a context
+    manager or call :meth:`close` when done writing.
     """
 
     def __init__(self, path):
@@ -369,16 +354,11 @@ class EventLog:
                     return seq
         return 0
 
-    def append(self, event: EcosystemEvent) -> int:
-        """Validate, assign the next ``seq`` and append one event; its line
-        is flushed before this returns."""
-        self.append_events((event,))
+    def append(self, record) -> int:
+        """Validate, assign the next ``seq`` and append one ``(kind, leaf
+        values)`` record; its line is flushed before this returns."""
+        self.append_records((record,))
         return self._next_seq - 1
-
-    def append_events(self, events) -> int:
-        """Validate and append many events; returns how many were written.
-        Payloads are unpacked into the encoders :meth:`append_records` uses."""
-        return self._append(_body(event.kind, event.payload)[0] for event in events)
 
     def append_records(self, records) -> int:
         """Validate and append ``(kind, leaf values)`` records, such as
@@ -496,7 +476,7 @@ def replay(
                     break
                 seq, kind = record.get("seq"), record.get("kind")
                 seq = seq if type(seq) is int else None
-            try:  # a decoded line is flattened and checked as the event writers do; a canonical one fits
+            try:  # a decoded line is flattened and checked as an appended record is; a canonical one fits
                 if m is None:
                     leaves = _body(kind, record)[1]
                 if kind == "unit":

@@ -10,7 +10,7 @@ import random
 from dataclasses import dataclass
 
 from .contrib import Contribution
-from .eventlog import EcosystemEvent, unit_event, update_event, use_event
+from .eventlog import unit_event, update_event, use_event
 from .graph import UniverseGraph
 
 __all__ = [
@@ -73,8 +73,8 @@ def sample_universe_extended() -> tuple[UniverseGraph, dict[str, int]]:
     )
 
 
-def sample_universe_events(extended: bool = False) -> list[EcosystemEvent]:
-    """The same ecosystem as an event stream (units, then edges)."""
+def sample_universe_events(extended: bool = False) -> list[tuple[str, tuple]]:
+    """The same ecosystem as ``(kind, leaf values)`` records (units, then edges)."""
     units = _BASE_UNITS + ((_GROWTH_UNIT,) if extended else ())
     uses = _BASE_USE + (_GROWTH_USE if extended else ())
     updates = _BASE_UPDATE + (_GROWTH_UPDATE if extended else ())

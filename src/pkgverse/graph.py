@@ -210,7 +210,7 @@ class UniverseGraph:
         self._units: list[SoftwareUnit] = []
         self._by_key: dict[tuple[str, str], int] = {}
         self._by_name: dict[str, list[int]] = {}
-        self._use_out: dict[int, set[int]] = {}
+        self._use_out: dict[int, dict[int, int]] = {}  # src -> dst -> the use-edge's write number
         self._use_in: dict[int, set[int]] = {}
         self._successor: dict[int, int] = {}
         self._predecessor: dict[int, int] = {}
@@ -259,7 +259,7 @@ class UniverseGraph:
                 f"{self._label(src)} uses {self._label(dst)} released later"
             )
         edge = UseEdge(src, dst)
-        self._use_out.setdefault(src, set()).add(dst)
+        self._use_out.setdefault(src, {})[dst] = len(self._use_timeline.cols[1])
         self._use_in.setdefault(dst, set()).add(src)
         self._use_timeline.append(max(t_src, t_dst), edge)
         if t_dst > t_src:
@@ -423,11 +423,11 @@ class TimedSnapshot:
     Equality and hashing consider only ``at``, ``units``, ``use_edges`` and
     ``update_edges``, whether views of the graph's time index or frozensets.
     A unit is in the cut when the graph held it at capture and it was
-    released at or before ``at``; a use-edge when both its ends are, or,
-    once the graph has gained a use-edge since capture, when ``use_edges``
-    holds it. So a snapshot never shows a later write, but it reads its
-    graph: query it between writes. It keeps the graph's column lists alive,
-    even once a re-sort replaced them; a pickle or copy carries its graph.
+    released at or before ``at``; a use-edge when the graph held it at
+    capture and both its ends are in the cut. So a snapshot never shows a
+    later write, but it reads its graph: query it between writes. It keeps
+    the graph's column lists alive, even once a re-sort replaced them; a
+    pickle or copy carries its graph.
     """
 
     at: int
@@ -444,10 +444,8 @@ class TimedSnapshot:
     def _same_uses(self) -> bool:  # the graph has gained no use-edge since capture
         return len(self._graph._use_timeline.cols[1]) == self._use_count
 
-    def _has_use(self, src: int, dst: int) -> bool:
-        if self._same_uses():
-            return self._has(src) and self._has(dst)
-        return UseEdge(src, dst) in self.use_edges
+    def _has_use(self, src: int, dst: int) -> bool:  # written before capture, both ends in the cut
+        return self._graph._use_out[src][dst] < self._use_count and self._has(src) and self._has(dst)
 
     def unit(self, uid: int) -> SoftwareUnit:
         if not (isinstance(uid, int) and uid >= 0 and self._has(uid)):

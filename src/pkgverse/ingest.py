@@ -13,10 +13,10 @@ and pure per record: a dump is converted row by row, with memory bounded by
 the row. A record that cannot be converted is yielded as a
 :class:`Quarantined` item, so one bad row cannot poison a large ingest.
 Dumps and contribution files each have one walker holding every row rule
-of its input, with an event view (``parse_*``) besides the record view.
-Contribution files have a third view, :func:`parse_contributions`, which
-yields :class:`~pkgverse.contrib.Contribution` values with their titles
-for the analyses, so no event or payload is built on the way.
+of its input. Contribution files have a second view,
+:func:`parse_contributions`, which yields
+:class:`~pkgverse.contrib.Contribution` values with their titles for the
+analyses; titles are not part of the log.
 
 Use-edges in the event schema name a concrete ``(name, release)`` target.
 Dependency declarations, however, carry *ranges*; these are emitted
@@ -39,7 +39,6 @@ from pathlib import Path
 
 from .contrib import Contribution
 from .errors import CsvError, InvalidTimestamp, MissingField, ParseError
-from .eventlog import contribution_event, unit_event, use_event
 from .semver import VersionRange
 
 __all__ = [
@@ -284,15 +283,8 @@ def registry_dump_records(reader, mapping: ColumnMap | None = None, source: str 
         raise CsvError(f"{source}:{row_no + 1}: {exc}") from None
 
 
-def parse_registry_dump(reader, mapping: ColumnMap | None = None, source: str = "<dump>"):
-    """The event view of :func:`registry_dump_records`: :class:`Quarantined`
-    items and events."""
-    for item in registry_dump_records(reader, mapping, source):
-        if isinstance(item, Quarantined):
-            yield item
-        else:
-            kind, leaves = item
-            yield unit_event(*leaves) if kind == "unit" else use_event(leaves[:2], leaves[2:])
+# the name bench/tracing.py times the dump walker under
+parse_registry_dump = registry_dump_records
 
 
 # --- contribution records --------------------------------------------------------
@@ -357,18 +349,8 @@ def contribution_records(reader, source: str = "<contributions>"):
     return _contribution_rows(reader, source, lambda record, title: record)
 
 
-def parse_contribution_events(reader, source: str = "<contributions>"):
-    """The event view of the contribution walker: :class:`Quarantined` items
-    and events. A non-empty ``title`` rides on the payload for bot
-    heuristics; it is not part of the persisted wire schema."""
-    return _contribution_rows(reader, source, _titled_event)
-
-
-def _titled_event(record, title):
-    event = contribution_event(*record[1])
-    if isinstance(title, str) and title:  # in-memory enrichment only; appends write schema fields alone
-        event.payload["title"] = title
-    return event
+# the name bench/tracing.py times the contribution walker under
+parse_contribution_events = contribution_records
 
 
 def parse_contributions(reader, source: str = "<contributions>"):

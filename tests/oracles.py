@@ -484,7 +484,7 @@ class ReferenceGraph(UniverseGraph):
         if t_dst > t_src and self.strict:
             raise TimeAnomaly(f"{self._label(src)} uses {self._label(dst)} released later")
         edge = UseEdge(src, dst)
-        self._use_out.setdefault(src, set()).add(dst)
+        self._use_out.setdefault(src, {})[dst] = len(self._use_timeline.cols[1])
         self._use_in.setdefault(dst, set()).add(src)
         self._use_timeline.append(max(t_src, t_dst), edge)
         if t_dst > t_src:

@@ -289,9 +289,9 @@ def test_criterion_7_replay_determinism(tmp_path):
         e2 = _random_log_events(rng, rng.randint(1, 150))
         p1.touch(), p2.touch()
         with EventLog(p1) as log:
-            log.append_events(e1)
+            log.append_records(e1)
         with EventLog(p2) as log:
-            log.append_events(e2)
+            log.append_records(e2)
         p12.write_bytes(p1.read_bytes() + p2.read_bytes())
 
         if replay(p1).graph != replay(p1).graph:

@@ -13,7 +13,6 @@ from pkgverse import eventlog
 from pkgverse.errors import CorruptLog, SchemaError
 from pkgverse.eventlog import (
     CONTRIBUTION_TYPES,
-    EcosystemEvent,
     EventLog,
     alias_event,
     contribution_event,
@@ -38,9 +37,9 @@ def write_log(path, events):
 
 class TestAppend:
     def test_first_seq_is_one(self, tmp_path):
-        log = EventLog(tmp_path / "log.ndjson")
-        assert log.append(unit_event("a", "1", 10)) == 1
-        assert log.append(unit_event("a", "2", 20)) == 2
+        with EventLog(tmp_path / "log.ndjson") as log:
+            assert log.append(unit_event("a", "1", 10)) == 1
+            assert log.append(unit_event("a", "2", 20)) == 2
 
     def test_seq_continues_across_reopen(self, tmp_path):
         path = tmp_path / "log.ndjson"
@@ -107,6 +106,18 @@ class TestAppend:
             {"v": 1, "seq": 1, "kind": "unit", "name": "p", "release": "0", "time": 0},
             separators=(",", ":"),
         ).encode() + b"\n"
+
+
+    def test_appends_encode_no_payload(self, tmp_path):
+        records = [unit_event("a", "1", 1), unit_event("b", "1", 2), use_event(("a", "1"), ("b", "1")),
+                   update_event(("a", "1"), ("a", "2")), contribution_event("c1", "ann", "a", "pr", 3),
+                   alias_event("ann", "a.n")]
+        with mock.patch.object(eventlog, "_body", wraps=eventlog._body) as body, \
+                mock.patch.object(eventlog, "_payload", wraps=eventlog._payload) as payload:
+            with EventLog(tmp_path / "log.ndjson") as log:
+                assert log.append(records[0]) == 1
+                assert log.append_records(records[1:]) == len(records) - 1
+        assert (body.call_count, payload.call_count) == (0, 0)
 
 
 class TestValidatePayload:
@@ -399,14 +410,14 @@ class TestEncoding:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "log.ndjson"
             with EventLog(path) as log:
-                assert log.append_events(events) == len(events)
+                assert log.append_records(events) == len(events)
             expected = "".join(
                 json.dumps(
-                    {"v": 1, "seq": n, "kind": e.kind, **validate_payload(e.kind, e.payload)},
+                    {"v": 1, "seq": n, "kind": kind, **validate_payload(kind, eventlog._payload(kind, leaves))},
                     separators=(",", ":"),
                 )
                 + "\n"
-                for n, e in enumerate(events, start=1)
+                for n, (kind, leaves) in enumerate(events, start=1)
             )
             assert path.read_bytes() == expected.encode("utf-8")
 
@@ -414,7 +425,7 @@ class TestEncoding:
         path = tmp_path / "log.ndjson"
         with EventLog(path) as log:
             with pytest.raises(SchemaError):
-                log.append_events([unit_event("a", "1", 1), unit_event("a", "2", 2), unit_event("a", "", 3)])
+                log.append_records([unit_event("a", "1", 1), unit_event("a", "2", 2), unit_event("a", "", 3)])
             assert len(path.read_text().splitlines()) == 2
             assert log.append(unit_event("a", "3", 3)) == 3
         assert [json.loads(line)["seq"] for line in path.read_text().splitlines()] == [1, 2, 3]
@@ -509,32 +520,25 @@ class TestSchemaTable:
         assert eventlog._line(7, kind, payload) == json.dumps(record, separators=(",", ":")) + "\n"
 
     def test_constructor_payload_keys_follow_the_table(self):
-        events = [
+        records = [
             unit_event("a", "1", 10),
             use_event(("a", "1"), ("b", "2")),
             update_event(("a", "1"), ("a", "2")),
             contribution_event("c1", "alice", "a", "pr", 10, True),
             alias_event("alice", "a.jones"),
         ]
-        assert [e.kind for e in events] == list(eventlog.SCHEMA)
-        for e in events:
-            assert tuple(e.payload) == eventlog._FIELDS[e.kind]
-            assert validate_payload(e.kind, e.payload) == e.payload
-
-
-class TestEcosystemEvent:
-    def test_rejects_attribute_assignment(self):
-        event = unit_event("a", "1", 10)
-        for name in ("kind", "payload", "seq"):
-            with pytest.raises(AttributeError):
-                setattr(event, name, "use")
-        assert event.kind == "unit"
-
-    def test_builds_positionally_or_by_keyword_and_equals_its_tuple(self):
-        payload = {"canonical": "alice", "alias": "a.jones"}
-        event = EcosystemEvent("developer-alias", payload)
-        assert event == EcosystemEvent(kind="developer-alias", payload=payload) == ("developer-alias", payload)
-        assert (event.kind, event.payload) == tuple(event)
+        assert [kind for kind, _ in records] == list(eventlog.SCHEMA)
+        payloads = [eventlog._payload(kind, leaves) for kind, leaves in records]
+        assert payloads == [
+            {"name": "a", "release": "1", "time": 10},
+            {"from": ["a", "1"], "to": ["b", "2"]},
+            {"from": ["a", "1"], "to": ["a", "2"]},
+            {"id": "c1", "dev": "alice", "target": ["a"], "ctype": "pr", "time": 10, "merged": True},
+            {"canonical": "alice", "alias": "a.jones"},
+        ]
+        for (kind, _), payload in zip(records, payloads):
+            assert tuple(payload) == eventlog._FIELDS[kind]
+            assert validate_payload(kind, payload) == payload
 
 
 # Replay reads canonical lines with one regex and every other line as JSON;
@@ -575,8 +579,8 @@ def _random_logs(draw):
     line in the middle, a torn tail or a final line without its newline."""
     events = draw(st.lists(st.tuples(_pool_events, st.sampled_from(list(_SPELLINGS))), max_size=25))
     lines = [
-        _SPELLINGS[spelling]({"v": 1, "seq": seq, "kind": e.kind, **e.payload}).encode()
-        for seq, (e, spelling) in enumerate(events, start=1)
+        _SPELLINGS[spelling]({"v": 1, "seq": seq, "kind": kind, **eventlog._payload(kind, leaves)}).encode()
+        for seq, ((kind, leaves), spelling) in enumerate(events, start=1)
     ]
     damage = draw(st.sampled_from(["none"] * 4 + ["torn tail", "no final newline", "corrupt line"]))
     if damage == "corrupt line":

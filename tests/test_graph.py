@@ -594,6 +594,22 @@ class TestSnapshotQueries:
             assert snap == oracle
             _assert_queries_match(snap, oracle, g)
 
+    def test_a_later_use_edge_builds_no_member_set(self):
+        """A use-edge written after capture, even one between two units of
+        the cut, leaves use_of and used_by answering off the graph's
+        adjacency: the snapshot never builds the frozenset of its use-edges."""
+        g = random_universe(random.Random(8), 120)
+        snap, oracle = g.timed_snapshot(60), brute_snapshot(g, 60)
+        held = sorted(u.uid for u in oracle.units)
+        src, dst = next((a, b) for a in held for b in held if a != b and b not in g.use_of(a))
+        g.add_use_edge(src, dst)
+        g.add_use_edge(g.add_unit("late", "1", 0), src)
+        for uid in held:
+            assert snap.use_of(uid) == oracle.use_of(uid)
+            assert snap.used_by(uid) == oracle.used_by(uid)
+        assert dst not in snap.use_of(src)
+        assert snap.use_edges._set is None
+
 
 def _frozen(snap):
     return (snap.units, snap.use_edges, snap.update_edges)

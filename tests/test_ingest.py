@@ -12,11 +12,11 @@ from pkgverse.ingest import (
     Quarantined,
     load_registry_table,
     manifest_records,
+    contribution_records,
     manifest_to_json,
-    parse_contribution_events,
     parse_manifest,
-    parse_registry_dump,
     parse_timestamp,
+    registry_dump_records,
     registry_info,
 )
 from pkgverse.semver import VersionRange
@@ -120,7 +120,7 @@ DUMP_HEADER = "platform,name,version,released_at,dep_name,dep_requirement\n"
 
 def run_dump(text, mapping=None):
     events, quarantined = [], []
-    for item in parse_registry_dump(io.StringIO(text), mapping):
+    for item in registry_dump_records(io.StringIO(text), mapping):
         (quarantined if isinstance(item, Quarantined) else events).append(item)
     return events, quarantined
 
@@ -148,7 +148,7 @@ def _outcome(parse):
 
 
 def _dump_outcome(text, mapping):
-    return _outcome(lambda: parse_registry_dump(io.StringIO(text, newline=""), mapping))
+    return _outcome(lambda: registry_dump_records(io.StringIO(text, newline=""), mapping))
 
 
 def _reference_outcome(text, mapping):
@@ -161,9 +161,9 @@ class TestParseRegistryDump:
         text = DUMP_HEADER + "npm,app,1.0.0,100,lib,1.0.0\nnpm,lib,1.0.0,50,,\n"
         events, quarantined = run_dump(text)
         assert not quarantined
-        kinds = [e.kind for e in events]
+        kinds = [kind for kind, _ in events]
         assert kinds == ["unit", "use", "unit"]
-        assert events[1].payload == {"from": ["app", "1.0.0"], "to": ["lib", "1.0.0"]}
+        assert events[1] == ("use", ("app", "1.0.0", "lib", "1.0.0"))
 
     def test_header_only(self):
         events, quarantined = run_dump(DUMP_HEADER)
@@ -171,11 +171,11 @@ class TestParseRegistryDump:
 
     def test_empty_file_is_csv_error(self):
         with pytest.raises(CsvError):
-            list(parse_registry_dump(io.StringIO("")))
+            list(registry_dump_records(io.StringIO("")))
 
     def test_missing_column_is_csv_error(self):
         with pytest.raises(CsvError):
-            list(parse_registry_dump(io.StringIO("name,version\napp,1.0.0\n")))
+            list(registry_dump_records(io.StringIO("name,version\napp,1.0.0\n")))
 
     def test_bad_timestamp_quarantined_with_row(self):
         text = DUMP_HEADER + "npm,app,1.0.0,not-a-time,,\nnpm,lib,1.0.0,50,,\n"
@@ -191,7 +191,7 @@ class TestParseRegistryDump:
             + "npm,app,1.0.0,100,util,2.0.0\n"
         )
         events, _ = run_dump(text)
-        assert [e.kind for e in events] == ["unit", "use", "use"]
+        assert [kind for kind, _ in events] == ["unit", "use", "use"]
 
     def test_custom_column_mapping(self):
         text = "Platform,Project Name,Version Number,Created Timestamp\nnpm,app,1.0.0,77\n"
@@ -202,7 +202,7 @@ class TestParseRegistryDump:
             released_at="Created Timestamp",
         )
         events, _ = run_dump(text, mapping)
-        assert events[0].payload == {"name": "app", "release": "1.0.0", "time": 77}
+        assert events[0] == ("unit", ("app", "1.0.0", 77))
 
     def test_event_count_matches_line_count_oracle(self):
         rows = []
@@ -212,8 +212,8 @@ class TestParseRegistryDump:
         events, quarantined = run_dump(text)
         line_count = text.count("\n") - 1  # oracle: data lines in the file
         assert not quarantined
-        assert sum(1 for e in events if e.kind == "unit") == line_count
-        assert sum(1 for e in events if e.kind == "use") == line_count
+        assert sum(1 for kind, _ in events if kind == "unit") == line_count
+        assert sum(1 for kind, _ in events if kind == "use") == line_count
 
     def test_blank_lines_are_skipped_and_not_counted(self):
         text = "\n\r\n" + DUMP_HEADER + "\n" + "npm,app,1.0.0,oops,,\n\n" + "npm,lib,,50,,\n"
@@ -224,7 +224,7 @@ class TestParseRegistryDump:
     def test_rows_are_numbered_by_row_not_by_line(self):
         text = DUMP_HEADER + 'npm,app,1.0.0,100,lib,"1.0.0\n|| 2.0.0"\n' + "npm,lib,1.0.0,never,,\n"
         events, quarantined = run_dump(text)
-        assert events[1].payload["to"] == ["lib", "1.0.0\n|| 2.0.0"]
+        assert events[1] == ("use", ("app", "1.0.0", "lib", "1.0.0\n|| 2.0.0"))
         assert quarantined[0].line_no == 3
 
     def test_long_row_is_quarantined_with_its_extra_fields(self):
@@ -233,7 +233,7 @@ class TestParseRegistryDump:
 
     def test_short_row_reads_missing_cells_as_none(self):
         events, _ = run_dump(DUMP_HEADER + "npm,app,1.0.0,100\n")
-        assert [e.kind for e in events] == ["unit"]
+        assert [kind for kind, _ in events] == ["unit"]
         _, [q] = run_dump(DUMP_HEADER + "npm,app\n")
         assert q.record == {
             "platform": "npm", "name": "app", "version": None, "released_at": None,
@@ -243,12 +243,12 @@ class TestParseRegistryDump:
     def test_repeated_column_reads_its_last_cell(self):
         text = "name,version,released_at,name\nfirst,1.0.0,5,last\nfirst,,5,last\n"
         events, [q] = run_dump(text)
-        assert events[0].payload["name"] == "last"
+        assert events[0] == ("unit", ("last", "1.0.0", 5))
         assert q.record == {"name": "last", "version": "", "released_at": "5"}
 
     def test_dependency_requirement_column_is_optional(self):
         events, _ = run_dump("name,version,released_at,dep_name\napp,1.0.0,5,lib\n")
-        assert events[1].payload == {"from": ["app", "1.0.0"], "to": ["lib", "*"]}
+        assert events[1] == ("use", ("app", "1.0.0", "lib", "*"))
 
     @settings(deadline=None, max_examples=400)
     @given(data=st.data())
@@ -278,7 +278,7 @@ class TestParseRegistryDump:
 
 def run_contributions(text):
     events, quarantined = [], []
-    for item in parse_contribution_events(io.StringIO(text)):
+    for item in contribution_records(io.StringIO(text)):
         (quarantined if isinstance(item, Quarantined) else events).append(item)
     return events, quarantined
 
@@ -288,9 +288,7 @@ class TestParseContributionEvents:
         text = '{"id":"c1","author":"alice","target":"app","type":"pr","time":100,"merged":true}\n'
         events, quarantined = run_contributions(text)
         assert not quarantined
-        assert events[0].payload["ctype"] == "pr"
-        assert events[0].payload["merged"] is True
-        assert events[0].payload["dev"] == "alice"
+        assert events == [("contribution", ("c1", "alice", "app", "pr", 100, True))]
 
     def test_missing_author_quarantined(self):
         text = '{"id":"c1","target":"app","type":"pr","time":100,"merged":true}\n'
@@ -308,14 +306,7 @@ class TestParseContributionEvents:
     def test_discussion_accepted(self):
         text = '{"author":"bob","target":"app","type":"discussion","time":5}\n'
         events, _ = run_contributions(text)
-        assert events[0].payload["ctype"] == "discussion"
-        assert events[0].payload["id"] == "app#1"
-        assert events[0].payload["merged"] is False
-
-    def test_title_carried_in_memory(self):
-        text = '{"author":"bob","target":"app","type":"pr","time":5,"title":"bump x"}\n'
-        events, _ = run_contributions(text)
-        assert events[0].payload["title"] == "bump x"
+        assert events == [("contribution", ("app#1", "bob", "app", "discussion", 5, False))]
 
     def test_mixed_fixture_counts_match_tally_oracle(self):
         import random
@@ -337,8 +328,8 @@ class TestParseContributionEvents:
                 )
         events, quarantined = run_contributions("\n".join(lines) + "\n")
         counts = {"pr": 0, "issue": 0, "discussion": 0}
-        for e in events:
-            counts[e.payload["ctype"]] += 1
+        for _, leaves in events:
+            counts[leaves[3]] += 1  # the ctype leaf
         assert counts == {k: v for k, v in tally.items() if k != "bad"}
         assert len(quarantined) == tally["bad"]
 
@@ -405,7 +396,7 @@ class TestStreamingMemory:
         reader = EndlessRows(n_rows)
         tracemalloc.start()
         count = 0
-        for item in parse_registry_dump(reader):
+        for item in registry_dump_records(reader):
             count += 1
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
@@ -418,16 +409,16 @@ class TestUnreadableInput:
         text = DUMP_HEADER + "\n" + "npm,lib,1.0.0,5,,\n" + "npm,app,1.0.0,6,lib," + "x" * 200_000 + "\n"
         items = []
         with pytest.raises(CsvError, match=r"^<dump>:3: field larger than field limit"):
-            items.extend(parse_registry_dump(io.StringIO(text)))
-        assert [e.payload["name"] for e in items] == ["lib"]
+            items.extend(registry_dump_records(io.StringIO(text)))
+        assert [leaves[0] for _, leaves in items] == ["lib"]
 
     def test_a_header_over_the_csv_limit_is_row_1(self):
         with pytest.raises(CsvError, match=r"^d.csv:1: "):
-            list(parse_registry_dump(io.StringIO("x" * 200_000 + "\n"), source="d.csv"))
+            list(registry_dump_records(io.StringIO("x" * 200_000 + "\n"), source="d.csv"))
 
     def test_an_over_long_timestamp_is_quarantined(self):
         events, [q] = run_dump(DUMP_HEADER + "npm,app,1.0.0," + "9" * 5000 + ",,\nnpm,lib,1.0.0,5,,\n")
-        assert [e.payload["name"] for e in events] == ["lib"]
+        assert [leaves[0] for _, leaves in events] == ["lib"]
         assert (q.line_no, q.reason) == (2, "InvalidTimestamp")
         with pytest.raises(InvalidTimestamp):
             parse_timestamp("9" * 5000)

@@ -1,13 +1,15 @@
-"""The record routes against the event routes they replace.
+"""The record routes against the payload encoder and the frozen references.
 
 CLI ingest writes dump and contribution records through
-``EventLog.append_records``; the event views (``parse_registry_dump``,
-``parse_contribution_events``) through ``append_events`` must give the same
-bytes, report, summary and exit code. The contribution view
-(``parse_contributions``) must give the event view's quarantine and its
-payloads as ``Contribution`` values, line by line. Replay applies
-canonical lines straight into the graph; the frozen generic loop in
-``oracles`` must give the same graph, quarantine, contributions and aliases.
+``EventLog.append_records``. The same run with each record written as a
+payload, through the encoder replay's fallback uses (``_body``), and with
+each dump read by the frozen ``csv.DictReader`` walker in ``oracles``, must
+give the same bytes, report, summary and exit code. The contribution view
+(``parse_contributions``) must give the record view's quarantine and its
+records as ``Contribution`` values, with each line's title, line by line.
+Replay applies canonical lines straight into the graph; the frozen generic
+loop in ``oracles`` must give the same graph, quarantine, contributions and
+aliases.
 """
 
 import contextlib
@@ -26,7 +28,6 @@ from pkgverse import cli, eventlog
 from pkgverse.contrib import Contribution
 from pkgverse.errors import CorruptLog, SchemaError
 from pkgverse.eventlog import (
-    EcosystemEvent,
     EventLog,
     alias_event,
     contribution_event,
@@ -35,11 +36,11 @@ from pkgverse.eventlog import (
     update_event,
     use_event,
 )
-from pkgverse.ingest import Quarantined, parse_contribution_events, parse_contributions, parse_registry_dump
+from pkgverse.ingest import Quarantined, contribution_records, parse_contributions
 
-from oracles import reference_replay
+from oracles import reference_parse_registry_dump, reference_replay
 
-# --- ingest: records against events -------------------------------------------------
+# --- ingest: records against payloads -------------------------------------------------
 
 _TEXT = st.sampled_from(["", " ", "app", " lib ", "é", 'q"uote', "s\\lash", "\x01", "a,b", "a\nb", "😀", "name"])
 _VERSION = st.sampled_from(["1.0.0", "2.0.0", "", " 1.0.0 ", "^1.0.0", ">=1 <2", "x\ny"])
@@ -134,24 +135,32 @@ def _ingest(kind, inputs, log, columns):
             report.read_bytes() if report.exists() else None)
 
 
+def _append_payloads(log, events):
+    """Append ``(kind, payload)`` pairs through the payload encoder that
+    replay's fallback uses; returns how many were written."""
+    return log._append(eventlog._body(kind, payload)[0] for kind, payload in events)
+
+
 @contextlib.contextmanager
 def _patched():
-    """The CLI run on events: each input read by its event view and written
-    with ``append_events``."""
-    with mock.patch.object(cli, "registry_dump_records", parse_registry_dump), \
-            mock.patch.object(cli, "contribution_records", parse_contribution_events), \
-            mock.patch.object(EventLog, "append_records", EventLog.append_events):
+    """The CLI run on payloads: each dump read by the frozen DictReader
+    walker, and each record written as its payload."""
+    def append_records(log, records):
+        return _append_payloads(log, ((kind, eventlog._payload(kind, leaves)) for kind, leaves in records))
+
+    with mock.patch.object(cli, "registry_dump_records", reference_parse_registry_dump), \
+            mock.patch.object(EventLog, "append_records", append_records):
         yield
 
 
 def _both_routes(kind, inputs, prior, columns=None):
     with tempfile.TemporaryDirectory() as tmp:
         results = []
-        for route in ("records", "events"):
+        for route in ("records", "payloads"):
             log = Path(tmp) / route / "log.ndjson"
             log.parent.mkdir()
             log.write_bytes(prior)
-            with _patched() if route == "events" else contextlib.nullcontext():
+            with _patched() if route == "payloads" else contextlib.nullcontext():
                 results.append(_ingest(kind, inputs, log, columns))
         return results
 
@@ -165,8 +174,8 @@ class TestIngestRoutes:
             for i, (data, _) in enumerate(dumps):
                 inputs.append(Path(tmp) / f"dump{i}.csv")
                 inputs[-1].write_bytes(data)
-            records, events = _both_routes("dump", inputs, prior, dumps[0][1])
-        assert records == events
+            records, payloads = _both_routes("dump", inputs, prior, dumps[0][1])
+        assert records == payloads
 
     @settings(deadline=None, max_examples=150)
     @given(files=st.lists(_contributions(), min_size=1, max_size=2), prior=st.sampled_from(_PRIOR_LOGS))
@@ -176,8 +185,8 @@ class TestIngestRoutes:
             for i, data in enumerate(files):
                 inputs.append(Path(tmp) / f"c{i}.ndjson")
                 inputs[-1].write_bytes(data)
-            records, events = _both_routes("contributions", inputs, prior)
-        assert records == events
+            records, payloads = _both_routes("contributions", inputs, prior)
+        assert records == payloads
 
     def test_only_the_event_route_encodes_payloads(self, tmp_path):
         dump = tmp_path / "d.csv"
@@ -196,15 +205,17 @@ class TestContributionView:
     @given(data=_contributions())
     def test_contributions_are_the_event_payloads_field_by_field(self, data):
         text = data.decode("utf-8-sig")
+        records = list(contribution_records(io.StringIO(text), "c.ndjson"))
+        lines = [line for line in io.StringIO(text) if line.strip()]
+        assert len(records) == len(lines)  # one item per non-blank line
 
-        def from_event(item):
+        def from_record(item, line):
             if isinstance(item, Quarantined):
                 return item
-            p = item.payload
-            return Contribution(p["id"], p["dev"], p["target"][0], p["ctype"], p["time"], p["merged"],
-                                p.get("title", ""))
+            title = json.loads(line).get("title")
+            return Contribution(*item[1], title if isinstance(title, str) else "")
 
-        expected = [from_event(item) for item in parse_contribution_events(io.StringIO(text), "c.ndjson")]
+        expected = [from_record(item, line) for item, line in zip(records, lines)]
         # repr: a quarantined record may hold a NaN, which equals no other NaN
         assert repr(list(parse_contributions(io.StringIO(text), "c.ndjson"))) == repr(expected)
 
@@ -241,14 +252,14 @@ class TestRecordEncoder:
         via_line = _outcome(lambda: eventlog._line(3, kind, payload))
         assert _outcome(lambda: f'{eventlog._HEAD}3,{next(eventlog._record_bodies([(kind, leaves)]))}') == via_line
         with tempfile.TemporaryDirectory() as tmp:
-            paths = Path(tmp) / "records.ndjson", Path(tmp) / "events.ndjson"
+            paths = Path(tmp) / "records.ndjson", Path(tmp) / "payloads.ndjson"
             for path in paths:
                 path.write_text('{"v":1,"seq":2,"kind":"unit","name":"a","release":"1","time":5}\n{"v":1,"se')
             with EventLog(paths[0]) as log:
                 by_records = _outcome(lambda: log.append_records([(kind, leaves)]))
             with EventLog(paths[1]) as log:
-                by_events = _outcome(lambda: log.append_events([EcosystemEvent(kind, payload)]))
-            assert by_records == by_events
+                by_payloads = _outcome(lambda: _append_payloads(log, [(kind, payload)]))
+            assert by_records == by_payloads
             assert paths[0].read_bytes() == paths[1].read_bytes()
 
     def test_an_invalid_record_raises_after_the_records_before_it_are_written(self, tmp_path):
@@ -319,15 +330,15 @@ def _replay_logs(draw):
     a small pool of names and releases runs into, and at times a damaged
     line or a torn tail."""
     events = draw(st.lists(_UNITS, min_size=1, max_size=9))
-    keys = st.sampled_from([(e.payload["name"], e.payload["release"]) for e in events])
+    keys = st.sampled_from([leaves[:2] for _, leaves in events])
     events += sum(draw(st.lists(_other_events(st.one_of(keys, keys, _REFS)), max_size=12)), [])
     if events and draw(st.booleans()):
         events.insert(draw(st.integers(0, len(events))), events.pop(draw(st.integers(0, len(events) - 1))))
     spellings = st.sampled_from(["canonical"] * 8 + ["sorted keys", "raw non-ASCII"] * 2 + list(_SPELLINGS))
     events = [(e, draw(spellings)) for e in events]
     lines = [
-        _SPELLINGS[spelling]({"v": 1, "seq": seq, "kind": e.kind, **e.payload}).encode()
-        for seq, (e, spelling) in enumerate(events, start=1)
+        _SPELLINGS[spelling]({"v": 1, "seq": seq, "kind": kind, **eventlog._payload(kind, leaves)}).encode()
+        for seq, ((kind, leaves), spelling) in enumerate(events, start=1)
     ]
     damage = draw(st.sampled_from(["none"] * 6 + ["torn tail", "corrupt line"]))
     if damage == "corrupt line":
