@@ -10,8 +10,8 @@ filtered out with cheap heuristics.
 """
 
 from pkgverse import (
-    build_dc_graph,
     classify_bot,
+    congruence_windows,
     congruent_contributions,
     merge_identities,
     window_partition,
@@ -42,12 +42,11 @@ for dev, items in by_dev.items():
         bots.add(dev)
 human = filter_contributions(contributions, exclude_developers=bots)
 
-# a three-month window per the usual analysis granularity
-windows = window_partition(0, 90 * 86400)
-print("\nanalysis windows:", [(w.start, w.end) for w in windows])
+# a three-month window per the usual analysis granularity; the sweep builds
+# the dependency-contribution graph of each window holding a contribution
+print("\nanalysis windows:", [(w.start, w.end) for w in window_partition(0, 90 * 86400)])
 
-for window in windows:
-    dc = build_dc_graph(graph, human, window)
+for window, dc in congruence_windows(graph, human, 0, 90 * 86400):
     print(f"\nwindow ({window.start}, {window.end}]:")
     print("  dependency edges:  ", sorted(dc.dependency_edges))
     print("  contribution edges:", sorted(dc.contribution_edges))

@@ -54,6 +54,7 @@ from .contrib import (
     Window,
     build_dc_graph,
     classify_bot,
+    congruence_windows,
     congruent_contributions,
     merge_identities,
     window_partition,
@@ -114,6 +115,7 @@ __all__ = [
     "classify_bot",
     "window_partition",
     "build_dc_graph",
+    "congruence_windows",
     "congruent_contributions",
     "SampleSpec",
     "BreakageReport",

@@ -26,7 +26,6 @@ import csv
 import json
 import math
 import sys
-from bisect import bisect_right
 from collections import Counter
 from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, astuple, fields
@@ -37,13 +36,12 @@ from . import export
 from .contrib import (
     BOT_THRESHOLD,
     Contribution,
-    build_dc_graph,
     canonicalize_contributions,
     classify_bot,
+    congruence_windows,
     congruent_contributions,
     filter_contributions,
     merge_identities,
-    window_partition,
 )
 from .errors import CsvError, InvalidTimestamp, ParseError, PkgverseError, UnknownRoot
 from .eventlog import EventLog, replay
@@ -265,31 +263,23 @@ def cmd_congruence(args) -> int:
         exclude_developers=excluded,
     )
 
-    if contributions:
-        t_lo = min(c.time for c in contributions)
-        t_hi = max(c.time for c in contributions)
-    else:
-        t_lo, t_hi = 0, 1
+    t_lo = min((c.time for c in contributions), default=0)
+    t_hi = max((c.time for c in contributions), default=1)
     start = parse_timestamp(args.window_start) if args.window_start is not None else t_lo - 1
     end = parse_timestamp(args.window_end) if args.window_end is not None else t_hi
     # cross-window mode drops the co-window requirement by spanning the
     # whole range with a single window
     width = end - start if args.cross_window else _parse_duration(args.window)
 
-    windows = window_partition(start, end, width)
-    # each window joins only its bisected slice; a window without one has no pairs
-    contributions.sort(key=lambda c: (c.time, c.id))
-    times = [c.time for c in contributions]
-    rows = []
-    for window in windows:
-        lo, hi = bisect_right(times, window.start), bisect_right(times, window.end)
-        if lo < hi:
-            dc = build_dc_graph(result.graph, contributions[lo:hi], window)
-            rows.extend((window, pair) for pair in congruent_contributions(dc))
+    rows = [
+        (window, pair)
+        for window, dc in congruence_windows(result.graph, contributions, start, end, width)
+        for pair in congruent_contributions(dc)
+    ]
     with _output(args) as fh:
         export.write_congruence_csv(fh, rows)
     print(
-        f"{len(rows)} congruent pairs across {len(windows)} windows; "
+        f"{len(rows)} congruent pairs across {len(range(start, end, width))} windows; "
         f"{len(excluded)} developers excluded as bots",
         file=sys.stderr,
     )

@@ -16,6 +16,9 @@ congruence analysis by default.
 
 Windows are half-open ``(start, end]`` intervals of a fixed width (90 days
 by default) aligned to the analysis start, tiling the requested range.
+``congruence_windows`` sweeps the contributions once in time order and
+builds only the windows that hold one, so a fine width over a long range
+costs what the contributions cost.
 """
 
 from __future__ import annotations
@@ -24,7 +27,8 @@ import re
 import statistics
 from collections import Counter
 from dataclasses import dataclass, replace
-from typing import AbstractSet
+from itertools import groupby
+from typing import AbstractSet, Iterator
 
 from .errors import ConflictingAlias, InvalidRange
 from .graph import UniverseGraph
@@ -38,12 +42,12 @@ __all__ = [
     "DEFAULT_WINDOW_SECONDS",
     "BOT_THRESHOLD",
     "merge_identities",
-    "alias_index",
     "canonicalize_contributions",
     "filter_contributions",
     "classify_bot",
     "window_partition",
     "build_dc_graph",
+    "congruence_windows",
     "congruent_contributions",
 ]
 
@@ -165,21 +169,12 @@ def merge_identities(
     return sorted(developers, key=lambda d: d.canonical_id)
 
 
-def alias_index(developers: list[Developer]) -> dict[str, Developer]:
-    """Case-folded alias -> developer lookup table."""
-    index: dict[str, Developer] = {}
-    for dev in developers:
-        for alias in dev.aliases:
-            index[alias.casefold()] = dev
-    return index
-
-
 def canonicalize_contributions(
     contributions, developers: list[Developer]
 ) -> list[Contribution]:
     """Rewrite each contribution's developer to its canonical id; unknown
     identities pass through unchanged (implicit singleton developers)."""
-    index = alias_index(developers)
+    index = {alias.casefold(): dev for dev in developers for alias in dev.aliases}
     out = []
     for c in contributions:
         dev = index.get(c.developer.casefold())
@@ -269,16 +264,20 @@ class Window:
         return self.start < t <= self.end
 
 
+def _window_starts(start: int, end: int, width: int) -> range:
+    if end <= start:
+        raise InvalidRange(f"empty range: start={start}, end={end}")
+    if width <= 0:
+        raise InvalidRange(f"window width must be positive, got {width}")
+    return range(start, end, width)
+
+
 def window_partition(
     start: int, end: int, width: int = DEFAULT_WINDOW_SECONDS
 ) -> list[Window]:
     """Tile ``start..end`` with consecutive windows of ``width`` seconds,
     aligned to ``start``; the last window may be short."""
-    if end <= start:
-        raise InvalidRange(f"empty range: start={start}, end={end}")
-    if width <= 0:
-        raise InvalidRange(f"window width must be positive, got {width}")
-    return [Window(lo, min(lo + width, end)) for lo in range(start, end, width)]
+    return [Window(lo, min(lo + width, end)) for lo in _window_starts(start, end, width)]
 
 
 # --- dependency-contribution graph -----------------------------------------------------
@@ -325,6 +324,20 @@ def build_dc_graph(graph: UniverseGraph, contributions, window: Window) -> DcGra
         contributions=in_window,
         contribution_edges=edges,
     )
+
+
+def congruence_windows(
+    graph: UniverseGraph, contributions, start: int, end: int, width: int = DEFAULT_WINDOW_SECONDS
+) -> Iterator[tuple[Window, DcGraph]]:
+    """Yield ``(window, build_dc_graph(graph, held, window))`` for each window
+    of ``window_partition(start, end, width)`` that holds a contribution, in
+    window order. The contributions inside the range are sorted once by
+    (time, id) and grouped by window index; no other window is built."""
+    starts = _window_starts(start, end, width)
+    held = sorted((c for c in contributions if start < c.time <= end), key=lambda c: (c.time, c.id))
+    for k, group in groupby(held, key=lambda c: (c.time - start - 1) // width):
+        window = Window(starts[k], min(starts[k] + width, end))
+        yield window, build_dc_graph(graph, list(group), window)
 
 
 def congruent_contributions(g: DcGraph) -> list[CongruentPair]:

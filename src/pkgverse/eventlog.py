@@ -24,7 +24,8 @@ log is gap-free. Temporal queries key on release time.
 The log writes and reads an event as a record: its kind and its leaf
 values, in ``SCHEMA`` order, such as ``("use", ("a", "1", "b", "2"))``; a
 ``[name, release]`` field gives two leaves. The constructors
-(:func:`unit_event` …) build records. The log line is the canonical form
+(:func:`unit_event` …) build records from their arguments as given, so
+the encoder checks each leaf's type. The log line is the canonical form
 of an event: each kind's line body has one slot per leaf, and one encoder
 per kind checks each leaf as it writes it. :func:`validate_payload`
 returns what a payload's line decodes to.
@@ -282,7 +283,7 @@ def _lines_backwards(fh, end: int):
 
 
 def unit_event(name: str, release: str, time: int) -> tuple[str, tuple]:
-    return "unit", (name, release, int(time))
+    return "unit", (name, release, time)
 
 
 def use_event(src: tuple[str, str], dst: tuple[str, str]) -> tuple[str, tuple]:
@@ -296,7 +297,7 @@ def update_event(src: tuple[str, str], dst: tuple[str, str]) -> tuple[str, tuple
 def contribution_event(
     cid: str, dev: str, target: str, ctype: str, time: int, merged: bool = False
 ) -> tuple[str, tuple]:
-    return "contribution", (cid, dev, target, ctype, int(time), bool(merged))
+    return "contribution", (cid, dev, target, ctype, time, merged)
 
 
 def alias_event(canonical: str, alias: str) -> tuple[str, tuple]:

@@ -84,25 +84,20 @@ class ManifestRegistry:
         return self._manifests.get(name, {}).get(release)
 
     @classmethod
-    def from_snapshot(cls, snapshot: TimedSnapshot) -> "ManifestRegistry":
-        """Manifest view of a timed snapshot: each unit's declared
-        dependencies are its use-edges, pinned to the exact target release.
-        This makes resolution reproducible at any historical instant."""
+    def from_snapshot(cls, snapshot: TimedSnapshot, uids) -> "ManifestRegistry":
+        """Manifest view of the units ``uids`` of a timed snapshot, added in
+        handle order: each unit's declared dependencies are its use-edges,
+        pinned to the exact target release. This makes resolution
+        reproducible at any historical instant."""
         registry = cls()
-        for uid in sorted(u.uid for u in snapshot.units):
-            registry.add(_pinned_manifest(snapshot, uid))
+        for uid in sorted(uids):
+            unit = snapshot.unit(uid)
+            deps = tuple(
+                (dep.name, VersionRange.pin(dep.release))
+                for dep in map(snapshot.unit, sorted(snapshot.use_of(uid)))
+            )
+            registry.add(Manifest(unit.name, unit.release, deps))
         return registry
-
-
-def _pinned_manifest(snapshot: TimedSnapshot, uid: int) -> Manifest:
-    """A unit's manifest whose dependencies are its use-edges, each pinned
-    to the exact target release."""
-    unit = snapshot.unit(uid)
-    deps = []
-    for dep_uid in sorted(snapshot.use_of(uid)):
-        dep = snapshot.unit(dep_uid)
-        deps.append((dep.name, VersionRange.pin(dep.release)))
-    return Manifest(unit.name, unit.release, tuple(deps))
 
 
 def build_nested_tree(root: Manifest, registry: ManifestRegistry) -> DepTree:
@@ -173,15 +168,13 @@ def build_tree_at(
     """Nested tree for a unit present in ``snapshot``; raises UnknownRoot.
 
     Only the root's use-closure is registered: every pin names a release
-    inside it, so the tree equals the one resolved against
-    :meth:`ManifestRegistry.from_snapshot`.
+    inside it, so the tree equals the one resolved against the registry of
+    every unit of the snapshot.
     """
     uid = snapshot.find(name, release)
     if uid is None:
         raise UnknownRoot(f"{name}@{release} is not present at t={snapshot.at}")
-    registry = ManifestRegistry()
-    for member in sorted(snapshot.transitive_dependencies(uid) | {uid}):
-        registry.add(_pinned_manifest(snapshot, member))
+    registry = ManifestRegistry.from_snapshot(snapshot, snapshot.transitive_dependencies(uid) | {uid})
     return build_nested_tree(registry.manifest(name, release), registry)
 
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -449,7 +450,9 @@ class TestCongruence:
         [line] = proc.stderr.splitlines()
         assert line.startswith("error: ") and "empty range" in line
 
-    def test_only_windows_holding_contributions_build_a_graph(self, tmp_path, monkeypatch, capsys):
+    @pytest.fixture
+    def pair_inputs(self, tmp_path):
+        """A log where app uses lib, and contributions holding one pair."""
         log = tmp_path / "log.ndjson"
         with EventLog(log) as events:
             events.append(unit_event("lib", "1.0.0", 1))
@@ -461,13 +464,17 @@ class TestCongruence:
             {"id": "c2", "author": "alice", "target": "lib", "type": "issue", "time": 130},
             {"id": "c3", "author": "bob", "target": "lib", "type": "issue", "time": 120},
         ]))
+        return log, records
+
+    def test_only_windows_holding_contributions_build_a_graph(self, pair_inputs, monkeypatch, capsys):
+        log, records = pair_inputs
         windows = []
 
         def counting(graph, contributions, window):
             windows.append(window)
             return build_dc_graph(graph, contributions, window)
 
-        monkeypatch.setattr("pkgverse.cli.build_dc_graph", counting)
+        monkeypatch.setattr("pkgverse.contrib.build_dc_graph", counting)
         assert main(["congruence", "--log", str(log), "--contributions", str(records), "--window", "1s",
                      "--window-start", "0", "--window-end", "100000"]) == 0
         out, err = capsys.readouterr()
@@ -477,6 +484,21 @@ class TestCongruence:
             "129,alice,app,lib,c1,c2",
         ]
         assert err == "1 congruent pairs across 100000 windows; 0 developers excluded as bots\n"
+
+    def test_a_million_one_second_windows_build_no_window_list(self, pair_inputs, capsys):
+        log, records = pair_inputs
+        tracemalloc.start()
+        try:
+            code = main(["congruence", "--log", str(log), "--contributions", str(records), "--window", "1s",
+                         "--window-start", "0", "--window-end", "1000000"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 5 * 2**20
+        out, err = capsys.readouterr()
+        assert out.splitlines()[1:] == ["129,alice,app,lib,c1,c2"]
+        assert err == "1 congruent pairs across 1000000 windows; 0 developers excluded as bots\n"
 
 
 class TestSample:

@@ -10,6 +10,7 @@ from pkgverse.contrib import (
     build_dc_graph,
     canonicalize_contributions,
     classify_bot,
+    congruence_windows,
     congruent_contributions,
     filter_contributions,
     merge_identities,
@@ -326,6 +327,40 @@ class TestDcGraph:
         late = build_dc_graph(g, [], Window(0, 60))
         assert early.dependency_edges == frozenset()
         assert late.dependency_edges == frozenset({("b", "a")})
+
+
+class TestCongruenceWindows:
+    @settings(deadline=None, max_examples=300)
+    @given(
+        rnd=st.randoms(use_true_random=False),
+        n_units=st.integers(1, 20),
+        start=st.integers(-60, 20),
+        length=st.integers(1, 80),
+        width=st.integers(1, 25),
+        data=st.data(),
+    )
+    def test_equals_building_every_window(self, rnd, n_units, start, length, width, data):
+        end = start + length
+        g = random_universe(rnd, n_units)
+        targets = sorted(g.names()) + ["unknown"]
+        # times inside and outside the range, and on every window edge
+        edges = [*range(start - width, end + 2 * width, width), end, end + 1]
+        times = st.one_of(st.integers(start - 2 * width, end + 2 * width), st.sampled_from(edges))
+        raw = data.draw(st.lists(st.tuples(st.integers(0, 3), st.sampled_from(targets), times), max_size=30))
+        contribs = [Contribution(f"c{i}", f"dev{d}", t, "issue", time) for i, (d, t, time) in enumerate(raw)]
+        expected = [
+            (w, dc) for w in window_partition(start, end, width)
+            if (dc := build_dc_graph(g, contribs, w)).contributions
+        ]
+        assert list(congruence_windows(g, contribs, start, end, width)) == expected
+
+    @pytest.mark.parametrize("bounds", [(5, 5, 1), (5, 4, 1), (0, 10, 0), (0, 10, -3)])
+    def test_invalid_range_raises_as_the_partition_does(self, bounds):
+        with pytest.raises(InvalidRange) as partition:
+            window_partition(*bounds)
+        with pytest.raises(InvalidRange) as sweep:
+            next(congruence_windows(UniverseGraph(), [], *bounds))
+        assert str(sweep.value) == str(partition.value)
 
 
 class TestCongruence:

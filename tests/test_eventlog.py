@@ -73,6 +73,18 @@ class TestAppend:
             log.append(contribution_event("c1", "dev", "pkg", "vote", 5))
         assert not (tmp_path / "log.ndjson").exists()
 
+    @pytest.mark.parametrize("record", [
+        unit_event("a", "1", True),
+        unit_event("a", "2", 2.9),
+        contribution_event("c", "d", "a", "pr", 3, "no"),
+    ])
+    def test_constructors_leave_type_checks_to_the_encoder(self, tmp_path, record):
+        with EventLog(tmp_path / "log.ndjson") as log:
+            with pytest.raises(SchemaError):
+                log.append(record)
+        path = tmp_path / "log.ndjson"
+        assert not path.exists() or path.read_bytes() == b""
+
     def test_wire_format_is_exact(self, tmp_path):
         path = tmp_path / "log.ndjson"
         write_log(

@@ -235,7 +235,7 @@ class TestSnapshotView:
     def test_registry_from_snapshot_pins_exact_releases(self):
         g, h = sample_universe()
         snap = g.timed_snapshot(5)
-        registry = ManifestRegistry.from_snapshot(snap)
+        registry = ManifestRegistry.from_snapshot(snap, [u.uid for u in snap.units])
         m = registry.manifest("a", "1")
         assert [(d, str(r)) for d, r in m.dependencies] == [("x", "1")]
 
@@ -252,7 +252,7 @@ class TestSnapshotView:
             last = max(u.time for u in g.units)
             for at in (last // 2, last):
                 snap = g.timed_snapshot(at)
-                registry = ManifestRegistry.from_snapshot(snap)
+                registry = ManifestRegistry.from_snapshot(snap, [u.uid for u in snap.units])
                 for unit in sorted(snap.units, key=lambda u: u.uid):
                     expected = tree_to_dict(
                         build_nested_tree(registry.manifest(unit.name, unit.release), registry)
