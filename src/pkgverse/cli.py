@@ -450,7 +450,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (PkgverseError, OSError, RecursionError) as exc:  # RecursionError: a chain too deep for the tree walks
+    except (PkgverseError, OSError, RecursionError) as exc:  # RecursionError: json.dumps of a tree ~1,000+ deep
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FATAL
 

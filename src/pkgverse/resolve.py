@@ -14,7 +14,9 @@ Cycles are broken by marking a repeated (name, version) on the active path
 as a back-reference leaf; that is bookkeeping, not an error. Identical
 (name, version) subtrees are shared internally, so trees over dense
 registries stay cheap to build; consumers that walk trees should treat
-nodes as values, not identities.
+nodes as values, not identities. Every walk here is a loop over an explicit
+stack, so a tree's depth is bounded by memory, not the recursion limit; the
+active path tracks back-references by depth, as Tarjan's lowlink does.
 """
 
 from __future__ import annotations
@@ -108,57 +110,51 @@ def build_nested_tree(root: Manifest, registry: ManifestRegistry) -> DepTree:
     a back-reference leaf. Raises :class:`NoMatchingVersion` with the
     path at which resolution failed.
     """
-    # memo holds finished subtrees that contain no back-reference escaping
-    # them, keyed by (name, version); those are path-independent.
+    # path maps each active key to its depth, root first. A frame is [node, deps, low]; a
+    # subtree whose back-references reach no higher than its root (low) is shared via memo.
     memo: dict[tuple[str, str], DepTree] = {}
-
-    def resolve_dep(dep_name: str, rng: VersionRange, path: tuple) -> str:
-        available = registry.releases(dep_name)
-        if rng.raw and rng.raw in available:
-            # a requirement naming an existing release label verbatim is an
-            # exact pin, whether or not the label parses as semver
-            return rng.raw
-        try:
-            if not available:
-                raise NoMatchingVersion(f"{dep_name!r} has no releases")
-            return str(resolve_version_range(rng, available))
-        except NoMatchingVersion as exc:
-            at = " -> ".join(f"{n}@{v}" for n, v in path)
-            raise NoMatchingVersion(f"{exc} (required at {at})") from None
-
-    def expand(name: str, version: str, manifest: Manifest, path: tuple):
-        """Returns (node, open_refs): names/versions of back-references
-        inside the subtree that point above this node."""
-        node = DepTree(name, version)
-        key = (name, version)
-        open_refs: set[tuple[str, str]] = set()
-        for dep_name, rng in manifest.dependencies:
-            dep_version = resolve_dep(dep_name, rng, path + (key,))
-            dep_key = (dep_name, dep_version)
-            if dep_key in path + (key,):
-                node.children.append(
-                    DepTree(dep_name, dep_version, back_reference=True)
-                )
-                open_refs.add(dep_key)
-                continue
-            if dep_key in memo:
-                node.children.append(memo[dep_key])
-                continue
-            dep_manifest = registry.manifest(dep_name, dep_version)
-            if dep_manifest is None:
+    tree = DepTree(root.name, root.release)
+    path = {tree.key: 0}
+    stack = [[tree, iter(root.dependencies), 0]]
+    while stack:
+        frame = stack[-1]
+        node = frame[0]
+        for dep_name, rng in frame[1]:
+            available = registry.releases(dep_name)
+            if rng.raw and rng.raw in available:
+                # a requirement naming an existing release label verbatim is
+                # an exact pin, whether or not the label parses as semver
+                version = rng.raw
+            else:
+                try:
+                    if not available:
+                        raise NoMatchingVersion(f"{dep_name!r} has no releases")
+                    version = str(resolve_version_range(rng, available))
+                except NoMatchingVersion as exc:
+                    at = " -> ".join(f"{n}@{v}" for n, v in path)
+                    raise NoMatchingVersion(f"{exc} (required at {at})") from None
+            key = (dep_name, version)
+            if key in path:
+                node.children.append(DepTree(dep_name, version, back_reference=True))
+                frame[2] = min(frame[2], path[key])
+            elif key in memo:
+                node.children.append(memo[key])
+            elif (manifest := registry.manifest(dep_name, version)) is None:
                 # release known to the registry index but with no manifest
-                node.children.append(DepTree(dep_name, dep_version))
-                continue
-            child, child_open = expand(dep_name, dep_version, dep_manifest, path + (key,))
-            node.children.append(child)
-            open_refs |= child_open
-        open_refs.discard(key)
-        if not open_refs:
-            memo[key] = node
-        return node, open_refs
-
-    tree, _ = expand(root.name, root.release, root, ())
-    tree.style = "nested"
+                node.children.append(DepTree(dep_name, version))
+            else:
+                child = DepTree(dep_name, version)
+                node.children.append(child)
+                path[key] = len(stack)
+                stack.append([child, iter(manifest.dependencies), len(stack)])
+                break
+        else:  # every dependency is placed: the subtree is finished
+            stack.pop()
+            depth = path.pop(node.key)
+            if frame[2] >= depth:
+                memo[node.key] = node
+            if stack:
+                stack[-1][2] = min(stack[-1][2], frame[2])
     return tree
 
 
@@ -252,34 +248,38 @@ def unused_declared(
 def tree_to_dict(tree: DepTree) -> dict:
     """JSON-ready nested document."""
     doc: dict = {"name": tree.name, "version": tree.version}
-    if tree.back_reference:
-        doc["back_reference"] = True
-    if tree.children:
-        doc["children"] = [tree_to_dict(c) for c in tree.children]
+    stack = [(tree, doc)]
+    while stack:
+        node, out = stack.pop()
+        if node.back_reference:
+            out["back_reference"] = True
+        if node.children:
+            out["children"] = [{"name": c.name, "version": c.version} for c in node.children]
+            stack.extend(zip(node.children, out["children"]))
     return doc
 
 
 def iter_lock_entries(tree: DepTree):
     """Lock-style rows for a flat tree: (``name@version``, nesting path)."""
-    def walk(node: DepTree, path: tuple[str, ...]):
-        yield f"{node.name}@{node.version}", "/".join(path)
-        for child in node.children:
-            yield from walk(child, path + (node.name,))
-
-    yield from walk(tree, ())
+    stack: list[tuple[DepTree, str | None]] = [(tree, None)]  # None: the root
+    while stack:
+        node, path = stack.pop()
+        yield f"{node.name}@{node.version}", path or ""
+        below = node.name if path is None else f"{path}/{node.name}"
+        stack.extend((child, below) for child in reversed(node.children))
 
 
 def count_nodes(tree: DepTree) -> int:
     """Number of package occurrences in the tree, counting shared subtrees
     once per occurrence (computed analytically, not by unfolding)."""
     counts: dict[int, int] = {}
-
-    def total(node: DepTree) -> int:
-        cached = counts.get(id(node))
-        if cached is not None:
-            return cached
-        value = 1 + sum(total(c) for c in node.children)
-        counts[id(node)] = value
-        return value
-
-    return total(tree)
+    stack = [tree]
+    while stack:
+        node = stack[-1]
+        pending = [c for c in node.children if id(c) not in counts]
+        if pending:
+            stack.extend(pending)
+            continue
+        stack.pop()
+        counts[id(node)] = 1 + sum(counts[id(c)] for c in node.children)
+    return counts[id(tree)]

@@ -21,6 +21,7 @@ from pkgverse.errors import (
     DuplicateUnit,
     InvalidTimestamp,
     NameAxiomViolation,
+    NoMatchingVersion,
     ParallelEdge,
     PkgverseError,
     SchemaError,
@@ -32,7 +33,9 @@ from pkgverse.errors import (
 )
 from pkgverse.eventlog import QuarantinedEvent, ReplayResult, unit_event, use_event
 from pkgverse.graph import SoftwareUnit, TimedSnapshot, UniverseGraph, UpdateEdge, UseEdge
-from pkgverse.ingest import ColumnMap, Quarantined, parse_timestamp
+from pkgverse.ingest import ColumnMap, Manifest, Quarantined, parse_timestamp
+from pkgverse.resolve import DepTree, ManifestRegistry
+from pkgverse.semver import VersionRange, resolve_version_range
 
 
 def edge_scan_out(g, uid: int) -> set[int]:
@@ -682,3 +685,105 @@ def reference_merge_identities(
         canonical = min(aliases)
         developers.append(Developer(canonical_id=canonical, aliases=frozenset(aliases)))
     return sorted(developers, key=lambda d: d.canonical_id)
+
+
+# --- the recursive tree walks of resolve.py, as they were before the loops ------
+# Kept unchanged: the iterative walks must build and print exactly what these do.
+
+
+def reference_build_nested_tree(root: Manifest, registry: ManifestRegistry) -> DepTree:
+    """Fully resolve ``root`` against ``registry`` into a nested tree.
+
+    Every dependency range picks the greatest satisfying release available
+    in the registry. A (name, version) repeating on the active path becomes
+    a back-reference leaf. Raises :class:`NoMatchingVersion` with the
+    path at which resolution failed.
+    """
+    # memo holds finished subtrees that contain no back-reference escaping
+    # them, keyed by (name, version); those are path-independent.
+    memo: dict[tuple[str, str], DepTree] = {}
+
+    def resolve_dep(dep_name: str, rng: VersionRange, path: tuple) -> str:
+        available = registry.releases(dep_name)
+        if rng.raw and rng.raw in available:
+            # a requirement naming an existing release label verbatim is an
+            # exact pin, whether or not the label parses as semver
+            return rng.raw
+        try:
+            if not available:
+                raise NoMatchingVersion(f"{dep_name!r} has no releases")
+            return str(resolve_version_range(rng, available))
+        except NoMatchingVersion as exc:
+            at = " -> ".join(f"{n}@{v}" for n, v in path)
+            raise NoMatchingVersion(f"{exc} (required at {at})") from None
+
+    def expand(name: str, version: str, manifest: Manifest, path: tuple):
+        """Returns (node, open_refs): names/versions of back-references
+        inside the subtree that point above this node."""
+        node = DepTree(name, version)
+        key = (name, version)
+        open_refs: set[tuple[str, str]] = set()
+        for dep_name, rng in manifest.dependencies:
+            dep_version = resolve_dep(dep_name, rng, path + (key,))
+            dep_key = (dep_name, dep_version)
+            if dep_key in path + (key,):
+                node.children.append(
+                    DepTree(dep_name, dep_version, back_reference=True)
+                )
+                open_refs.add(dep_key)
+                continue
+            if dep_key in memo:
+                node.children.append(memo[dep_key])
+                continue
+            dep_manifest = registry.manifest(dep_name, dep_version)
+            if dep_manifest is None:
+                # release known to the registry index but with no manifest
+                node.children.append(DepTree(dep_name, dep_version))
+                continue
+            child, child_open = expand(dep_name, dep_version, dep_manifest, path + (key,))
+            node.children.append(child)
+            open_refs |= child_open
+        open_refs.discard(key)
+        if not open_refs:
+            memo[key] = node
+        return node, open_refs
+
+    tree, _ = expand(root.name, root.release, root, ())
+    tree.style = "nested"
+    return tree
+
+
+def reference_tree_to_dict(tree: DepTree) -> dict:
+    """JSON-ready nested document."""
+    doc: dict = {"name": tree.name, "version": tree.version}
+    if tree.back_reference:
+        doc["back_reference"] = True
+    if tree.children:
+        doc["children"] = [reference_tree_to_dict(c) for c in tree.children]
+    return doc
+
+
+def reference_iter_lock_entries(tree: DepTree):
+    """Lock-style rows for a flat tree: (``name@version``, nesting path)."""
+    def walk(node: DepTree, path: tuple[str, ...]):
+        yield f"{node.name}@{node.version}", "/".join(path)
+        for child in node.children:
+            yield from walk(child, path + (node.name,))
+
+    yield from walk(tree, ())
+
+
+def reference_count_nodes(tree: DepTree) -> int:
+    """Number of package occurrences in the tree, counting shared subtrees
+    once per occurrence (computed analytically, not by unfolding)."""
+    counts: dict[int, int] = {}
+
+    def total(node: DepTree) -> int:
+        cached = counts.get(id(node))
+        if cached is not None:
+            return cached
+        value = 1 + sum(total(c) for c in node.children)
+        counts[id(node)] = value
+        return value
+
+    return total(tree)

@@ -1,10 +1,15 @@
+import sys
+import warnings
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pkgverse.errors import NoMatchingVersion, UnknownRoot
 from pkgverse.fixtures import sample_universe
 from pkgverse.graph import UniverseGraph
 from pkgverse.ingest import Manifest
 from pkgverse.resolve import (
+    Conflict,
     DepTree,
     ManifestRegistry,
     build_nested_tree,
@@ -19,6 +24,12 @@ from pkgverse.resolve import (
 from pkgverse.semver import VersionRange
 
 from conftest import random_manifest_universe, random_universe
+from oracles import (
+    reference_build_nested_tree,
+    reference_count_nodes,
+    reference_iter_lock_entries,
+    reference_tree_to_dict,
+)
 
 
 def manifest(name, release, deps=()):
@@ -288,4 +299,118 @@ class TestSerialization:
             ("B@1.0.0", "A"),
             ("C@1.0.0", "A"),
             ("B@2.0.0", "A/C"),
+        ]
+
+
+# labels padded with whitespace or not semver at all, and requirements that
+# pin them verbatim, resolve through the grammar, or match nothing
+LABELS = ["1.0.0", "1.2.0", "2.0.0", " 1.2.0 ", "1.0", "nightly"]
+RANGES = ["^1.0.0", "*", ">=1.1.0", "<2.0.0", "^9.0.0"]
+
+
+@st.composite
+def cyclic_registries(draw):
+    """A root and a small registry whose dependencies run in any direction.
+    Half of them also draw requirements that may match nothing, and names
+    ``ghost``, which has no releases."""
+    names = [*"abcde", "ghost"] if draw(st.booleans()) else [*"abcde"]
+    labels = {name: draw(st.lists(st.sampled_from(LABELS), min_size=1, max_size=2, unique=True)) for name in "abcde"}
+    labels["ghost"] = []
+
+    def requirements(name):
+        if "ghost" in names:
+            return [*map(VersionRange.pin, labels[name] + LABELS), *map(VersionRange.parse, RANGES)]
+        semver = {"1.0.0", "1.2.0", "2.0.0", " 1.2.0 "} & set(labels[name])
+        return [*map(VersionRange.pin, labels[name]), *[VersionRange.parse("*")] * bool(semver)]
+
+    def dependencies():
+        return tuple((name, draw(st.sampled_from(requirements(name))))
+                     for name in draw(st.lists(st.sampled_from(names), max_size=3)))
+
+    registry = ManifestRegistry()
+    releases = [Manifest(name, label, dependencies()) for name in "abcde" for label in labels[name]]
+    for release in releases:
+        registry.add(release)
+    root = Manifest("root", "1.0.0", dependencies())
+    if draw(st.booleans()):
+        root = draw(st.sampled_from(releases))  # a root its own dependencies may reach
+    return root, registry
+
+
+def distinct_nodes(tree):
+    """Each distinct node object once, in pre-order of first visit, as
+    (name, version, back_reference, style, child positions in this list):
+    equal lists mean equal shapes with equal sharing. A loop, unlike
+    DepTree.__eq__, which recurses."""
+    position, nodes, stack = {}, [], [tree]
+    while stack:
+        node = stack.pop()
+        if id(node) not in position:
+            position[id(node)] = len(nodes)
+            nodes.append(node)
+            stack.extend(reversed(node.children))
+    return [(n.name, n.version, n.back_reference, n.style, [position[id(c)] for c in n.children]) for n in nodes]
+
+
+class TestIterativeWalks:
+    @settings(deadline=None, max_examples=500)
+    @given(cyclic_registries())
+    def test_equal_to_the_recursive_walks(self, universe):
+        root, registry = universe
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # NonSemverRelease, for the unparsable labels
+            try:
+                expected = reference_build_nested_tree(root, registry)
+            except NoMatchingVersion as exc:
+                with pytest.raises(NoMatchingVersion) as got:
+                    build_nested_tree(root, registry)
+                assert str(got.value) == str(exc)
+                return
+            tree = build_nested_tree(root, registry)
+        assert distinct_nodes(tree) == distinct_nodes(expected)
+        assert count_nodes(tree) == reference_count_nodes(expected)
+        assert tree_to_dict(tree) == reference_tree_to_dict(expected)
+        assert list(iter_lock_entries(tree)) == list(reference_iter_lock_entries(expected))
+        flat = flatten_tree(tree)
+        assert list(iter_lock_entries(flat)) == list(reference_iter_lock_entries(flatten_tree(expected)))
+
+    def test_a_chain_deeper_than_the_recursion_limit(self):
+        # p4999 -> p4998 -> ... -> p0 -> q@1.0.0, and p4999 -> q@2.0.0 besides
+        depth = 5000
+        assert sys.getrecursionlimit() < depth
+        g = UniverseGraph()
+        q1, q2 = g.add_unit("q", "1.0.0", 0), g.add_unit("q", "2.0.0", 1)
+        chain = [g.add_unit(f"p{i}", "1.0.0", 2 + i) for i in range(depth)]
+        g.add_use_edge(chain[0], q1)
+        for lower, upper in zip(chain, chain[1:]):
+            g.add_use_edge(upper, lower)
+        g.add_use_edge(chain[-1], q2)
+        tree = build_tree_at(g.timed_snapshot(depth + 1), f"p{depth - 1}", "1.0.0")
+        names = [f"p{i}" for i in reversed(range(depth))]
+
+        node, doc, walked = tree, tree_to_dict(tree), []
+        while node.name != "q":
+            assert doc["name"] == node.name and doc["version"] == node.version
+            walked.append(node.name)
+            node, doc = node.children[-1], doc["children"][-1]
+        assert walked == names and doc == {"name": "q", "version": "1.0.0"}
+        assert [(c.name, c.version) for c in tree.children] == [("q", "2.0.0"), ("p4998", "1.0.0")]
+        assert count_nodes(tree) == depth + 2
+        assert detect_conflicts(tree) == [Conflict("q", frozenset({"1.0.0", "2.0.0"}))]
+
+        rows = iter_lock_entries(tree)
+        assert next(rows) == ("p4999@1.0.0", "")
+        assert next(rows) == ("q@2.0.0", "p4999")
+        path = "p4999"
+        for name in names[1:]:
+            assert next(rows) == (f"{name}@1.0.0", path)
+            path += "/" + name
+        assert list(rows) == [("q@1.0.0", path)]
+
+        flat = flatten_tree(tree)
+        assert list(iter_lock_entries(flat)) == [
+            ("p4999@1.0.0", ""),
+            ("q@2.0.0", "p4999"),
+            *((f"{name}@1.0.0", "p4999") for name in names[1:]),
+            ("q@1.0.0", "p4999/p0"),
         ]
