@@ -19,7 +19,7 @@ from .graph import (
 )
 from .eventlog import (
     EventLog,
-    QuarantinedEvent,
+    Quarantined,
     ReplayResult,
     replay,
 )
@@ -27,7 +27,6 @@ from .semver import Version, VersionRange, parse_version, resolve_version_range
 from .ingest import (
     ColumnMap,
     Manifest,
-    Quarantined,
     RegistryInfo,
     load_registry_table,
     parse_contribution_events,
@@ -81,7 +80,7 @@ __all__ = [
     "GrowthDelta",
     "diff",
     "EventLog",
-    "QuarantinedEvent",
+    "Quarantined",
     "ReplayResult",
     "replay",
     "Version",
@@ -90,7 +89,6 @@ __all__ = [
     "resolve_version_range",
     "Manifest",
     "ColumnMap",
-    "Quarantined",
     "RegistryInfo",
     "parse_manifest",
     "parse_registry_dump",

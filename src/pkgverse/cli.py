@@ -44,10 +44,9 @@ from .contrib import (
     merge_identities,
 )
 from .errors import CsvError, InvalidTimestamp, ParseError, PkgverseError, UnknownRoot
-from .eventlog import EventLog, replay
+from .eventlog import EventLog, Quarantined, replay
 from .ingest import (
     ColumnMap,
-    Quarantined,
     RegistryInfo,
     contribution_records,
     load_registry_table,
@@ -200,6 +199,11 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_snapshot(args) -> int:
+    if args.series_until is not None:
+        if args.out or args.format not in (None, "dot"):
+            raise PkgverseError("--series-until writes DOT files to --out-dir; it takes no --out or --format but dot")
+    elif args.out_dir is not None:
+        raise PkgverseError("--out-dir takes --series-until; a single snapshot goes to --out or stdout")
     result = _replay_log(args)
     at = parse_timestamp(args.at)
     if args.series_until is not None:
@@ -209,7 +213,7 @@ def cmd_snapshot(args) -> int:
         return _exit_code(result.quarantine)
     snap = result.graph.timed_snapshot(at)
     with _output(args) as fh:
-        export.write_snapshot(fh, snap, args.format)
+        export.write_snapshot(fh, snap, args.format or "json")
     print(
         f"snapshot at t={at}: {len(snap.units)} units, "
         f"{len(snap.use_edges)} use-edges, {len(snap.update_edges)} update-edges",
@@ -385,8 +389,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = commands.add_parser("snapshot", help="export the graph state at a time")
     p.add_argument("--at", required=True, help="timestamp (epoch seconds or ISO-8601)")
-    p.add_argument("--format", default="json", choices=("json", "dot", "graphml"))
-    p.add_argument("--series-until", help="also export a snapshot series up to this time")
+    p.add_argument("--format", choices=("json", "dot", "graphml"), help="default json; a series is DOT")
+    p.add_argument("--series-until", help="export a snapshot series up to this time instead")
     p.add_argument("--series-step", default="90d", help="series spacing (e.g. 90d)")
     p.add_argument("--out-dir", help="directory for series DOT files")
     _common_flags(p)

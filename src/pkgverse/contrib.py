@@ -28,6 +28,7 @@ import statistics
 from collections import Counter
 from dataclasses import dataclass, replace
 from itertools import groupby
+from operator import attrgetter
 from typing import AbstractSet, Iterator
 
 from .errors import ConflictingAlias, InvalidRange
@@ -53,6 +54,8 @@ __all__ = [
 
 DEFAULT_WINDOW_SECONDS = 90 * 86400  # three months
 BOT_THRESHOLD = 0.8
+
+_in_order = attrgetter("time", "id")  # the order of contributions: by time, then id
 
 
 @dataclass(frozen=True)
@@ -211,7 +214,7 @@ def _normalize_title(title: str) -> str:
     return re.sub(r"\s+", " ", text).strip()
 
 
-def classify_bot(dev, contributions) -> tuple[bool, float]:
+def classify_bot(name: str, contributions) -> tuple[bool, float]:
     """Heuristic bot score in [0, 1] and the flag at the default threshold.
 
     Signals: a bot-style account name (``...bot`` suffix or ``[bot]``
@@ -220,7 +223,6 @@ def classify_bot(dev, contributions) -> tuple[bool, float]:
     so a clear name alone flags, and strongly template-like behaviour
     flags accounts with innocuous names.
     """
-    name = dev.canonical_id if isinstance(dev, Developer) else str(dev)
     s_name = 1.0 if _BOT_NAME.search(name) else 0.0
 
     titles = [_normalize_title(c.title) for c in contributions if c.title]
@@ -311,12 +313,7 @@ def build_dc_graph(graph: UniverseGraph, contributions, window: Window) -> DcGra
     from the graph's package projection, indexed by time once per write and
     bisected per window."""
     dep_edges = graph.package_dependency_edges(window.end)
-    in_window = tuple(
-        sorted(
-            (c for c in contributions if window.contains(c.time)),
-            key=lambda c: (c.time, c.id),
-        )
-    )
+    in_window = tuple(sorted((c for c in contributions if window.contains(c.time)), key=_in_order))
     edges = frozenset((c.developer, c.target) for c in in_window)
     return DcGraph(
         window=window,
@@ -331,10 +328,10 @@ def congruence_windows(
 ) -> Iterator[tuple[Window, DcGraph]]:
     """Yield ``(window, build_dc_graph(graph, held, window))`` for each window
     of ``window_partition(start, end, width)`` that holds a contribution, in
-    window order. The contributions inside the range are sorted once by
-    (time, id) and grouped by window index; no other window is built."""
+    window order. The contributions inside the range are sorted once, by
+    time then id, and grouped by window index; no other window is built."""
     starts = _window_starts(start, end, width)
-    held = sorted((c for c in contributions if start < c.time <= end), key=lambda c: (c.time, c.id))
+    held = sorted((c for c in contributions if start < c.time <= end), key=_in_order)
     for k, group in groupby(held, key=lambda c: (c.time - start - 1) // width):
         window = Window(starts[k], min(starts[k] + width, end))
         yield window, build_dc_graph(graph, list(group), window)
@@ -355,7 +352,7 @@ def congruent_contributions(g: DcGraph) -> list[CongruentPair]:
     for c in g.contributions:
         key = (c.developer, c.target)
         best = by_dev_target.get(key)
-        if best is None or (c.time, c.id) < (best.time, best.id):
+        if best is None or _in_order(c) < _in_order(best):
             by_dev_target[key] = c
 
     targets_of: dict[str, list[str]] = {}

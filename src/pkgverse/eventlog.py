@@ -64,7 +64,7 @@ from .graph import UniverseGraph
 
 __all__ = [
     "EventLog",
-    "QuarantinedEvent",
+    "Quarantined",
     "ReplayResult",
     "unit_event",
     "use_event",
@@ -423,25 +423,28 @@ class EventLog:
 
 
 @dataclass(frozen=True)
-class QuarantinedEvent:
-    """An event that could not be applied, with the reason it was held."""
+class Quarantined:
+    """An input row ingest could not convert, or a log line replay could not
+    apply, with where it came from and why it was held."""
 
+    source: str  # the input file, or the replayed log
     line_no: int
-    seq: int | None
     reason: str  # exception class name, e.g. "NameAxiomViolation"
-    detail: str
-    record: dict
+    record: object
+    detail: str = ""  # replay: the error's message
+    seq: int | None = None  # replay: the line's int seq, if it has one
 
 
 @dataclass
 class ReplayResult:
-    """Everything a log contains: the rebuilt graph plus the contribution
-    and alias payloads that ride alongside it, and the quarantine report."""
+    """Everything a log contains: the rebuilt graph, the contribution and
+    alias payloads that ride alongside it, and the quarantine report, one
+    :class:`Quarantined` item per line not applied, its ``source`` the log."""
 
     graph: UniverseGraph
     contributions: list[dict] = field(default_factory=list)
     aliases: list[tuple[str, str]] = field(default_factory=list)
-    quarantine: list[QuarantinedEvent] = field(default_factory=list)
+    quarantine: list[Quarantined] = field(default_factory=list)
 
 
 def replay(
@@ -473,7 +476,7 @@ def replay(
                     error = _damaged(path, line_no, line, exc)
                     if type(error) is not TornTail:
                         raise error from None
-                    result.quarantine.append(QuarantinedEvent(line_no, None, "TornTail", str(error), {}))
+                    result.quarantine.append(Quarantined(str(path), line_no, "TornTail", {}, str(error)))
                     break
                 seq, kind = record.get("seq"), record.get("kind")
                 seq = seq if type(seq) is int else None
@@ -496,6 +499,6 @@ def replay(
                 if m is not None:  # the record json.loads would give
                     seq = int(m[1])
                     record = {"v": SCHEMA_VERSION, "seq": seq, "kind": kind, **_payload(kind, leaves)}
-                result.quarantine.append(QuarantinedEvent(line_no, seq, type(exc).__name__, str(exc), record))
+                result.quarantine.append(Quarantined(str(path), line_no, type(exc).__name__, record, str(exc), seq))
     return result
 

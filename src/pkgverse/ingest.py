@@ -11,12 +11,12 @@ family has a record view (``*_records``) of ``(kind, leaf values)`` records,
 which the CLI writes with ``EventLog.append_records``. Parsers are streaming
 and pure per record: a dump is converted row by row, with memory bounded by
 the row. A record that cannot be converted is yielded as a
-:class:`Quarantined` item, so one bad row cannot poison a large ingest.
-Dumps and contribution files each have one walker holding every row rule
-of its input. Contribution files have a second view,
-:func:`parse_contributions`, which yields
-:class:`~pkgverse.contrib.Contribution` values with their titles for the
-analyses; titles are not part of the log.
+:class:`Quarantined` item, the record replay keeps for a line it cannot
+apply, so one bad row cannot poison a large ingest. Dumps and contribution
+files each have one walker holding every row rule of its input.
+Contribution files have a second view, :func:`parse_contributions`, which
+yields :class:`~pkgverse.contrib.Contribution` values with their titles for
+the analyses; titles are not part of the log.
 
 Use-edges in the event schema name a concrete ``(name, release)`` target.
 Dependency declarations, however, carry *ranges*; these are emitted
@@ -39,6 +39,7 @@ from pathlib import Path
 
 from .contrib import Contribution
 from .errors import CsvError, InvalidTimestamp, MissingField, ParseError
+from .eventlog import Quarantined
 from .semver import VersionRange
 
 __all__ = [
@@ -65,16 +66,6 @@ DEPENDENCY_SECTIONS = (
     "peerDependencies",
     "optionalDependencies",
 )
-
-
-@dataclass(frozen=True)
-class Quarantined:
-    """A record that could not be converted, with its location and reason."""
-
-    source: str
-    line_no: int
-    reason: str
-    record: object
 
 
 def parse_decimal(text: str) -> int | None:

@@ -50,7 +50,6 @@ class DepTree:
     name: str
     version: str
     children: list["DepTree"] = field(default_factory=list)
-    style: str = "nested"  # meaningful on the root: "nested" | "flat"
     back_reference: bool = False
 
     @property
@@ -183,7 +182,7 @@ def flatten_tree(nested: DepTree) -> DepTree:
     it; an identical version is deduplicated. Fresh nodes are always
     created, so shared subtrees in the input are never mutated.
     """
-    root = DepTree(nested.name, nested.version, style="flat")
+    root = DepTree(nested.name, nested.version)
     hoisted: dict[str, str] = {nested.name: nested.version}
     queue: deque[tuple[DepTree, DepTree]] = deque(
         (child, root) for child in nested.children

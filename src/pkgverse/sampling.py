@@ -8,7 +8,8 @@ three-count report quantifying how badly a subset breaks the dependency
 structure, an evenly spaced snapshot series for temporal studies, and a
 per-package activity report that flags dormant-but-depended-upon libraries
 without branding them failures (feature-complete libraries go quiet while
-remaining heavily used).
+remaining heavily used). Rankings read the snapshot's instant: a developer
+counts as a contributor only for contributions made by ``snapshot.at``.
 
 Chain breakage has no single canonical formula; the three counts here are
 one concretization, computed against the package-level projection:
@@ -21,7 +22,8 @@ one concretization, computed against the package-level projection:
 * ``severed_update_chains`` — update chains (maximal runs of linked
   releases, two or more long) that the subset discards entirely;
   name-level subsets drop whole packages, so discarding is the only way
-  a chain can break.
+  a chain can break. A chain is counted by its head, the one linked
+  release that no update edge leads to.
 
 Reachable pairs are counted, never enumerated. An iterative Tarjan pass
 condenses the projection into strongly connected components, which it
@@ -38,6 +40,7 @@ search.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .contrib import Contribution
@@ -94,24 +97,20 @@ class BreakageReport:
 
 def _scores(snapshot: TimedSnapshot, metric: str, contributions, popularity):
     packages = sorted(snapshot.names())
-    if metric == "dependents":
-        clients: dict[str, set[str]] = {p: set() for p in packages}
-        for client, library in snapshot.package_dependency_edges():
-            clients[library].add(client)
-        return {p: len(clients[p]) for p in packages}
     if metric == "activity":
         return {p: len(snapshot.units_of_name(p)) for p in packages}
-    if metric == "contributors":
+    if metric == "dependents":  # the projection holds each (client, library) pair once
+        counts = Counter(library for _, library in snapshot.package_dependency_edges())
+    elif metric == "contributors":
         if contributions is None:
             raise InsufficientData("metric 'contributors' needs a contribution list")
-        counts = {p: set() for p in packages}
-        for c in contributions:
-            if c.target in counts:
-                counts[c.target].add(c.developer)
-        return {p: len(devs) for p, devs in counts.items()}
-    if popularity is None:
+        pairs = {(c.target, c.developer) for c in contributions if c.time <= snapshot.at}
+        counts = Counter(target for target, _ in pairs)
+    elif popularity is None:
         raise InsufficientData("metric 'popularity' needs an external score table")
-    return {p: popularity.get(p, 0) for p in packages}
+    else:
+        counts = popularity
+    return {p: counts.get(p, 0) for p in packages}
 
 
 def sample_top_k(
@@ -142,7 +141,6 @@ def _reachable_pair_count(packages, edges) -> int:
     disc = [-1] * n
     low = [0] * n
     comp = [-1] * n
-    on_stack = [False] * n
     stack: list[int] = []
     closure: list[int] = []
     counter = 0
@@ -153,7 +151,6 @@ def _reachable_pair_count(packages, edges) -> int:
         disc[root] = low[root] = counter
         counter += 1
         stack.append(root)
-        on_stack[root] = True
         work = [(root, iter(out[root]))]
         while work:
             v, successors = work[-1]
@@ -162,10 +159,9 @@ def _reachable_pair_count(packages, edges) -> int:
                     disc[w] = low[w] = counter
                     counter += 1
                     stack.append(w)
-                    on_stack[w] = True
                     work.append((w, iter(out[w])))
                     break
-                if on_stack[w] and disc[w] < low[v]:
+                if comp[w] < 0 and disc[w] < low[v]:  # discovered, no component: on the stack
                     low[v] = disc[w]
             else:
                 work.pop()
@@ -180,7 +176,6 @@ def _reachable_pair_count(packages, edges) -> int:
                 members = []
                 while True:
                     w = stack.pop()
-                    on_stack[w] = False
                     comp[w] = c
                     members.append(w)
                     if w == v:
@@ -228,18 +223,10 @@ def chain_breakage(snapshot: TimedSnapshot, subset: set[str]) -> BreakageReport:
         sorted(subset), kept_edges
     )
 
-    # chains are linear, so a name's chain count is its linked units minus
-    # its update edges (one maximal run per surplus unit)
-    linked: dict[str, set[int]] = {}
-    edge_count: dict[str, int] = {}
-    for e in snapshot.update_edges:
-        name = name_of[e.src]
-        linked.setdefault(name, set()).update((e.src, e.dst))
-        edge_count[name] = edge_count.get(name, 0) + 1
+    # chains are linear, so each has one head: the source of its first edge
+    successors = {e.dst for e in snapshot.update_edges}
     severed = sum(
-        len(linked[name]) - edge_count[name]
-        for name in linked
-        if name not in subset
+        1 for e in snapshot.update_edges if e.src not in successors and name_of[e.src] not in subset
     )
     return BreakageReport(
         dangling_use_edges=dangling,

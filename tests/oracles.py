@@ -31,9 +31,9 @@ from pkgverse.errors import (
     TornTail,
     UnknownUnit,
 )
-from pkgverse.eventlog import QuarantinedEvent, ReplayResult, unit_event, use_event
+from pkgverse.eventlog import Quarantined, ReplayResult, unit_event, use_event
 from pkgverse.graph import SoftwareUnit, TimedSnapshot, UniverseGraph, UpdateEdge, UseEdge
-from pkgverse.ingest import ColumnMap, Manifest, Quarantined, parse_timestamp
+from pkgverse.ingest import ColumnMap, Manifest, parse_timestamp
 from pkgverse.resolve import DepTree, ManifestRegistry
 from pkgverse.semver import VersionRange, resolve_version_range
 
@@ -538,7 +538,7 @@ def reference_replay(path, *, strict=False, into=None) -> ReplayResult:
                 error = eventlog._damaged(path, line_no, line, exc)
                 if type(error) is not TornTail:
                     raise error from None
-                result.quarantine.append(QuarantinedEvent(line_no, None, "TornTail", str(error), {}))
+                result.quarantine.append(Quarantined(str(path), line_no, "TornTail", {}, str(error)))
                 break
             seq, kind = record.get("seq"), record.get("kind")
             seq = seq if type(seq) is int else None
@@ -546,7 +546,7 @@ def reference_replay(path, *, strict=False, into=None) -> ReplayResult:
                 eventlog._line(0, kind, record)
                 _reference_apply(result, kind, [record[key] for key in eventlog._FIELDS[kind]])
             except PkgverseError as exc:
-                result.quarantine.append(QuarantinedEvent(line_no, seq, type(exc).__name__, str(exc), record))
+                result.quarantine.append(Quarantined(str(path), line_no, type(exc).__name__, record, str(exc), seq))
     return result
 
 
@@ -749,7 +749,6 @@ def reference_build_nested_tree(root: Manifest, registry: ManifestRegistry) -> D
         return node, open_refs
 
     tree, _ = expand(root.name, root.release, root, ())
-    tree.style = "nested"
     return tree
 
 

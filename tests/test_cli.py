@@ -261,6 +261,29 @@ class TestSnapshot:
     def test_bad_timestamp_is_fatal(self, universe_log, capsys):
         assert main(["snapshot", "--log", str(universe_log), "--at", "whenever"]) == 1
 
+    @pytest.mark.parametrize("extra", [
+        ["--series-until", "6", "--series-step", "2s", "--format", "graphml", "--out-dir", "s"],
+        ["--series-until", "6", "--series-step", "2s", "--out", "x.json", "--out-dir", "s"],
+        ["--out-dir", "s"],
+    ])
+    def test_options_that_do_not_apply_are_fatal(self, universe_log, tmp_path, monkeypatch, capsys, extra):
+        # a series is DOT files in --out-dir; a single snapshot is one document
+        monkeypatch.chdir(tmp_path)
+        assert main(["snapshot", "--log", str(universe_log), "--at", "0", *extra]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["universe.ndjson"]
+
+    def test_series_takes_format_dot(self, universe_log, tmp_path, capsys):
+        out_dir = tmp_path / "series"
+        code = main([
+            "snapshot", "--log", str(universe_log), "--at", "0", "--series-until", "6", "--series-step", "2s",
+            "--format", "dot", "--out-dir", str(out_dir),
+        ])
+        assert code == 0
+        assert len(list(out_dir.glob("*.dot"))) == 4
+
 
 class TestReplayWarning:
     def test_quarantine_reasons_on_stderr_only(self, tmp_path, capsys):

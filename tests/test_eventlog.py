@@ -1,3 +1,4 @@
+import io
 import json
 import random
 import re
@@ -23,6 +24,7 @@ from pkgverse.eventlog import (
     validate_payload,
 )
 from pkgverse.fixtures import sample_universe, sample_universe_events, sample_universe_extended
+from pkgverse.ingest import registry_dump_records
 
 from oracles import reference_validate_payload
 
@@ -413,6 +415,23 @@ _events = st.one_of(
     st.builds(contribution_event, _text, _text, _text, st.sampled_from(CONTRIBUTION_TYPES), _int, st.booleans()),
     st.builds(alias_event, _text, _text),
 )
+
+
+class TestQuarantineRecord:
+    def test_ingest_and_replay_quarantine_the_same_record(self, tmp_path):
+        dump = io.StringIO("name,version,released_at\napp,1.0.0,not-a-time\n")
+        [dropped] = registry_dump_records(dump, source="dump.csv")
+        path = tmp_path / "log.ndjson"
+        write_log(path, [unit_event("a", "1", 10), use_event(("a", "1"), ("b", "1"))])
+        with path.open("a", encoding="utf-8") as fh:
+            fh.write('{"v":1,"seq":3,"kind":"un')
+        unknown, torn = replay(path).quarantine
+        assert type(dropped) is type(unknown) is type(torn) is eventlog.Quarantined
+        assert (dropped.source, dropped.line_no, dropped.reason) == ("dump.csv", 2, "InvalidTimestamp")
+        assert (unknown.source, unknown.line_no, unknown.seq, unknown.reason) == (str(path), 2, 2, "UnknownUnit")
+        assert unknown.detail == "unresolvable reference b@1"
+        assert (torn.source, torn.line_no, torn.seq, torn.reason, torn.record) == (str(path), 3, None, "TornTail", {})
+        assert torn.detail.startswith(f"{path}:3: ")
 
 
 class TestEncoding:

@@ -158,7 +158,7 @@ STEPS = [
     ("error: registries cell over the csv limit", ["registries", "--table", "big-registries.csv"]),
     ("congruence with log aliases", ["congruence", "--contributions", "aliased-prs.ndjson",
                                      "--log", "aliases.ndjson"]),
-    ("sample contributors with log aliases", ["sample", "--metric", "contributors", "--k", "2",
+    ("sample contributors with log aliases", ["sample", "--metric", "contributors", "--k", "2", "--at", "200",
                                               "--contributions", "aliased-prs.ndjson", "--format", "csv",
                                               "--log", "aliases.ndjson"]),
 ]

@@ -121,7 +121,7 @@ class TestFlatten:
         # oracle: hand-simulated breadth-first hoisting of the fixture
         root, registry = conflict_registry()
         flat = flatten_tree(build_nested_tree(root, registry))
-        assert flat.style == "flat"
+        assert flat.key == ("A", "1.0.0")
         assert [c.key for c in flat.children] == [("B", "1.0.0"), ("C", "1.0.0")]
         c_node = flat.children[1]
         assert [c.key for c in c_node.children] == [("B", "2.0.0")]
@@ -339,7 +339,7 @@ def cyclic_registries(draw):
 
 def distinct_nodes(tree):
     """Each distinct node object once, in pre-order of first visit, as
-    (name, version, back_reference, style, child positions in this list):
+    (name, version, back_reference, child positions in this list):
     equal lists mean equal shapes with equal sharing. A loop, unlike
     DepTree.__eq__, which recurses."""
     position, nodes, stack = {}, [], [tree]
@@ -349,7 +349,7 @@ def distinct_nodes(tree):
             position[id(node)] = len(nodes)
             nodes.append(node)
             stack.extend(reversed(node.children))
-    return [(n.name, n.version, n.back_reference, n.style, [position[id(c)] for c in n.children]) for n in nodes]
+    return [(n.name, n.version, n.back_reference, [position[id(c)] for c in n.children]) for n in nodes]
 
 
 class TestIterativeWalks:

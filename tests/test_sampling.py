@@ -101,6 +101,20 @@ class TestSampleTopK:
         ]
         assert sample_top_k(snap, SampleSpec("contributors", 1), contributions=contribs) == ["a"]
 
+    def test_contributors_counted_up_to_the_instant(self):
+        g = UniverseGraph()
+        g.add_unit("lib", "1.0.0", 50)
+        g.add_unit("app", "1.0.0", 100)
+        contribs = [
+            Contribution("c1", "alice", "app", "pr", 60, merged=True),
+            Contribution("c2", "bob", "lib", "issue", 500),
+            Contribution("c3", "carol", "lib", "issue", 600),
+        ]
+        spec = SampleSpec("contributors", 1)
+        assert sample_top_k(g.timed_snapshot(100), spec, contributions=contribs) == ["app"]
+        # one at the instant itself counts: lib has two contributors at t=600
+        assert sample_top_k(g.timed_snapshot(600), spec, contributions=contribs) == ["lib"]
+
     def test_contributors_without_data_is_an_error(self):
         g, _ = sample_universe()
         with pytest.raises(InsufficientData):
