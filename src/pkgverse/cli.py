@@ -4,9 +4,12 @@ Every subcommand but ``registries`` replays the event log for its graph and
 developer aliases, but some read files the log does not hold: ``congruence``
 and ``sample --metric contributors`` read ``--contributions``, ``sample
 --metric popularity`` reads ``--popularity-csv``, and ``registries`` reads
-its table. Data documents go to stdout (or ``--out``); human-readable
-summaries go to stderr. Exit codes: 0 on success, 1 on fatal errors, 2 when
-the run completed but some events or records were quarantined.
+its table. An option that does not apply is fatal: ``sample`` takes each
+file only with the metric that reads it, and ``snapshot`` takes
+``--out-dir`` and ``--series-step`` only with ``--series-until``. Data
+documents go to stdout (or ``--out``); human-readable summaries go to
+stderr. Exit codes: 0 on success, 1 on fatal errors, 2 when the run
+completed but some events or records were quarantined.
 
 Subcommands::
 
@@ -202,12 +205,13 @@ def cmd_snapshot(args) -> int:
     if args.series_until is not None:
         if args.out or args.format not in (None, "dot"):
             raise PkgverseError("--series-until writes DOT files to --out-dir; it takes no --out or --format but dot")
-    elif args.out_dir is not None:
-        raise PkgverseError("--out-dir takes --series-until; a single snapshot goes to --out or stdout")
+    elif args.out_dir is not None or args.series_step is not None:
+        raise PkgverseError("--out-dir and --series-step take --series-until; a single snapshot goes to --out or stdout")
     result = _replay_log(args)
     at = parse_timestamp(args.at)
     if args.series_until is not None:
-        instants = series_instants(at, parse_timestamp(args.series_until), _parse_duration(args.series_step))
+        step = _parse_duration("90d" if args.series_step is None else args.series_step)
+        instants = series_instants(at, parse_timestamp(args.series_until), step)
         paths = export.export_snapshot_series(result.graph.timed_snapshots(instants), args.out_dir or "snapshots")
         print(f"wrote {len(paths)} snapshot files", file=sys.stderr)
         return _exit_code(result.quarantine)
@@ -295,6 +299,10 @@ def cmd_sample(args) -> int:
         spec = SampleSpec(metric=args.metric, k=args.k)
     except ValueError as exc:
         raise PkgverseError(str(exc)) from None
+    if args.contributions is not None and args.metric != "contributors":
+        raise PkgverseError("--contributions takes --metric contributors")
+    if args.popularity_csv is not None and args.metric != "popularity":
+        raise PkgverseError("--popularity-csv takes --metric popularity")
     result = _replay_log(args)
     snap = result.graph.timed_snapshot(_at_or_latest(args.at, result.graph))
 
@@ -391,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--at", required=True, help="timestamp (epoch seconds or ISO-8601)")
     p.add_argument("--format", choices=("json", "dot", "graphml"), help="default json; a series is DOT")
     p.add_argument("--series-until", help="export a snapshot series up to this time instead")
-    p.add_argument("--series-step", default="90d", help="series spacing (e.g. 90d)")
+    p.add_argument("--series-step", help="series spacing (default 90d)")
     p.add_argument("--out-dir", help="directory for series DOT files")
     _common_flags(p)
     p.set_defaults(func=cmd_snapshot)
@@ -422,8 +430,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metric", required=True, choices=METRICS)
     p.add_argument("--k", required=True, type=int)
     p.add_argument("--at", help="sample the snapshot at this time (default: latest)")
-    p.add_argument("--contributions", help="NDJSON records (required for metric=contributors)")
-    p.add_argument("--popularity-csv", help="CSV with package,score columns")
+    p.add_argument("--contributions", help="NDJSON records (metric=contributors only, and required there)")
+    p.add_argument("--popularity-csv", help="CSV with package,score columns (metric=popularity only)")
     p.add_argument("--measure-breakage", action="store_true")
     p.add_argument("--format", default="json", choices=("json", "csv"))
     _common_flags(p)

@@ -119,12 +119,12 @@ def build_nested_tree(root: Manifest, registry: ManifestRegistry) -> DepTree:
         frame = stack[-1]
         node = frame[0]
         for dep_name, rng in frame[1]:
-            available = registry.releases(dep_name)
-            if rng.raw and rng.raw in available:
+            if rng.raw and registry.manifest(dep_name, rng.raw) is not None:
                 # a requirement naming an existing release label verbatim is
                 # an exact pin, whether or not the label parses as semver
                 version = rng.raw
             else:
+                available = registry.releases(dep_name)
                 try:
                     if not available:
                         raise NoMatchingVersion(f"{dep_name!r} has no releases")

@@ -27,15 +27,21 @@ one concretization, computed against the package-level projection:
 
 Reachable pairs are counted, never enumerated. An iterative Tarjan pass
 condenses the projection into strongly connected components, which it
-emits successors first; each component keeps a Python-int bitset of the
-packages it reaches, the OR of its successor components' bitsets and
-members. A package in a multi-member component also reaches its fellow
-members, never itself. The subset-induced projection is a subgraph of the
-full one, so ``broken = |R(full)| - |R(subset)|``. For P packages, E
-package edges and C components this costs O(P + E) steps plus O(E·P/64)
-machine words of bitset work, and C·P bits of memory, in place of the
-O(P·(P+E)) time and one set entry per reachable pair of a per-package
-search.
+emits successors first. Each emitted component takes the next bit
+positions for its members, so everything it reaches sits at lower
+positions. It keeps a Python-int bitset of the packages it reaches outside
+itself, the OR of its successor components' bitsets and members, next to
+the start and size of its own run of positions. A package in a
+multi-member component also reaches its fellow members, never itself. The
+subset-induced projection is a subgraph of the full one, so ``broken =
+|R(full)| - |R(subset)|``. For P packages, E package edges and C components
+this costs O(P + E) steps plus O(E·P/64) machine words of bitset work, in
+place of the O(P·(P+E)) time and one set entry per reachable pair of a
+per-package search. A bitset is as wide as the highest position it
+reaches, and packages that many others use are emitted early, at low
+positions, so memory follows what components reach rather than the number
+of packages. Holding a component's own members in its bitset would make
+every late-emitted one about P bits wide.
 """
 
 from __future__ import annotations
@@ -135,14 +141,17 @@ def _reachable_pair_count(packages, edges) -> int:
     for a, b in edges:
         out[index[a]].append(index[b])
 
-    # iterative Tarjan; ``closure[c]`` is the bitset of packages reachable
-    # from component c, its own members included
+    # iterative Tarjan; each component takes the next ``size`` bit positions
+    # as it is emitted, so its successors hold lower ones, and ``closure[c]``
+    # is ``(bits, start, size)``: the bitset of packages reachable from
+    # component c outside it, and the positions of its members
     n = len(out)
     disc = [-1] * n
     low = [0] * n
     comp = [-1] * n
     stack: list[int] = []
-    closure: list[int] = []
+    closure: list[tuple[int, int, int]] = []
+    position = 0
     counter = 0
     total = 0
     for root in range(n):
@@ -180,19 +189,19 @@ def _reachable_pair_count(packages, edges) -> int:
                     members.append(w)
                     if w == v:
                         break
-                mask = 0
                 successor_comps = set()
                 for w in members:
-                    mask |= 1 << w
                     successor_comps.update(comp[x] for x in out[w])
                 successor_comps.discard(c)
                 bits = 0
                 for d in successor_comps:
-                    bits |= closure[d]
-                closure.append(bits | mask)
+                    reached, start, size = closure[d]
+                    bits |= reached | (((1 << size) - 1) << start)
+                size = len(members)
+                closure.append((bits, position, size))
+                position += size
                 # each member reaches everything beyond its component and
                 # its fellow members, never itself
-                size = len(members)
                 total += size * (bits.bit_count() + size - 1)
     return total
 

@@ -32,12 +32,21 @@ the comparators in the satisfied clause names the same major.minor.patch
 triple and itself carries a prerelease tag — so ``^1.2.3-rc.1`` admits
 ``1.2.3-rc.2`` but a plain ``~1.2.3`` never drags in ``1.3.0-beta``.
 
-Parsing is memoized per text: :func:`parse_version` and
-:meth:`VersionRange.parse` each keep the results for the 4096 most recently
-used texts (a bounded ``functools.lru_cache``), which is safe to share
-because versions, comparators and ranges are frozen. Type checks run before
-the memo, and failures are not kept, so a bad text raises on every call and
-:func:`resolve_version_range` warns about a non-semver label every time.
+Parsing is memoized per text: :func:`parse_version`,
+:meth:`VersionRange.parse` and :meth:`VersionRange.pin` each keep the
+results for the 4096 most recently used texts (a bounded
+``functools.lru_cache``, keyed by class for ranges and pins), which is safe
+to share because versions, comparators and ranges are frozen. Type checks
+run before the memo, and failures are not kept, so a bad text raises on
+every call and :func:`resolve_version_range` warns about a non-semver label
+every time.
+
+Matching compares precedence keys: a range compiles each clause once, at
+construction, into ``(operator, bound key)`` pairs tested against a
+version's ``_key``, plus the triples its prerelease-tagged comparators
+name. :func:`resolve_version_range` keeps the greatest match in one pass
+and tests only candidates whose key exceeds it, so among equal keys
+(``1.0.0+a``, ``1.0.0+b``) the first one listed wins.
 """
 
 from __future__ import annotations
@@ -142,9 +151,6 @@ class _Comparator:
     op: str  # one of < <= > >= =
     version: Version
 
-    def satisfied_by(self, v: Version) -> bool:
-        return _COMPARE[self.op](v, self.version)
-
     def __str__(self) -> str:
         return f"{self.op}{self.version}" if self.op != "=" else str(self.version)
 
@@ -222,9 +228,19 @@ class VersionRange:
     clauses: tuple[tuple[_Comparator, ...], ...] = field(compare=False)
     raw: str = field(default="", compare=False)
     _key: tuple = field(init=False, repr=False)
+    # per clause: its (operator, bound key) tests and the triples its
+    # prerelease-tagged comparators name (the shared empty tuple if none)
+    _compiled: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_key", (self.clauses, None if self.clauses else self.raw))
+        object.__setattr__(self, "_compiled", tuple(
+            (
+                tuple((_COMPARE[c.op], c.version._key) for c in clause),
+                tuple({c.version.triple for c in clause if c.version.prerelease}),
+            )
+            for clause in self.clauses
+        ))
 
     @classmethod
     def pin(cls, label: str) -> "VersionRange":
@@ -234,11 +250,7 @@ class VersionRange:
         pins match nothing through the grammar and are resolved by literal
         label lookup instead (see the resolver).
         """
-        try:
-            exact = parse_version(label)
-        except VersionParseError:
-            return cls(clauses=(), raw=label)
-        return cls(clauses=((_Comparator("=", exact),),), raw=label)
+        return _pin(cls, label)
 
     @classmethod
     def parse(cls, text: str) -> "VersionRange":
@@ -248,14 +260,13 @@ class VersionRange:
 
     def matches(self, version: Version) -> bool:
         """Pure predicate: does ``version`` satisfy this range?"""
-        for clause in self.clauses:
-            if all(c.satisfied_by(version) for c in clause):
-                if not version.prerelease:
-                    return True
-                if any(
-                    c.version.triple == version.triple and c.version.prerelease
-                    for c in clause
-                ):
+        key = version._key
+        for tests, tagged in self._compiled:
+            for compare, bound in tests:
+                if not compare(key, bound):
+                    break
+            else:
+                if not version.prerelease or version.triple in tagged:
                     return True
         return False
 
@@ -263,6 +274,15 @@ class VersionRange:
         if not self.clauses:
             return self.raw
         return " || ".join(" ".join(str(c) for c in clause) for clause in self.clauses)
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _pin(cls: type[VersionRange], label: str) -> VersionRange:
+    try:
+        exact = parse_version(label)
+    except VersionParseError:
+        return cls(clauses=(), raw=label)
+    return cls(clauses=((_Comparator("=", exact),),), raw=label)
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
@@ -298,16 +318,17 @@ def resolve_version_range(
     """
     if isinstance(rng, str):
         rng = VersionRange.parse(rng)
-    candidates: list[Version] = []
+    best = None
     for item in available:
-        if isinstance(item, Version):
-            candidates.append(item)
-            continue
-        try:
-            candidates.append(parse_version(item))
-        except VersionParseError:
-            warnings.warn(f"skipping non-semver release {item!r}", NonSemverRelease)
-    matching = [v for v in candidates if rng.matches(v)]
-    if not matching:
+        if not isinstance(item, Version):
+            try:
+                item = parse_version(item)
+            except VersionParseError:
+                warnings.warn(f"skipping non-semver release {item!r}", NonSemverRelease)
+                continue
+        # a key equal to the best's loses, so the first of equal keys wins
+        if (best is None or item._key > best._key) and rng.matches(item):
+            best = item
+    if best is None:
         raise NoMatchingVersion(f"no version in {len(available)} candidates satisfies {rng}")
-    return max(matching)
+    return best

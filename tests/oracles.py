@@ -8,6 +8,7 @@ paths under test.
 from __future__ import annotations
 
 import csv
+import operator
 from operator import attrgetter
 
 import networkx as nx
@@ -247,9 +248,30 @@ def assert_flatten_preserves_resolution(nested, flat):
             assert flat_lookup(flat, node, dep_name) == version
 
 
+_REFERENCE_COMPARE = {"=": operator.eq, ">": operator.gt, ">=": operator.ge, "<": operator.lt, "<=": operator.le}
+
+
+def reference_matches(rng, version) -> bool:
+    """The clause rule as ranges applied it before compiling their clauses:
+    each comparator compares ``Version`` values, and a prerelease version
+    also needs a prerelease-tagged comparator of its own triple in the
+    satisfied clause."""
+    for clause in rng.clauses:
+        if all(_REFERENCE_COMPARE[c.op](version, c.version) for c in clause):
+            if not version.prerelease:
+                return True
+            if any(
+                c.version.triple == version.triple and c.version.prerelease
+                for c in clause
+            ):
+                return True
+    return False
+
+
 def satisfying_max(rng, versions):
-    """Resolution oracle: enumerate every satisfying version, take the max."""
-    matching = [v for v in versions if rng.matches(v)]
+    """Resolution oracle: enumerate every satisfying version, take the max
+    (the first one listed among equal keys)."""
+    matching = [v for v in versions if reference_matches(rng, v)]
     if not matching:
         return None
     best = matching[0]

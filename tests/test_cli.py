@@ -265,6 +265,8 @@ class TestSnapshot:
         ["--series-until", "6", "--series-step", "2s", "--format", "graphml", "--out-dir", "s"],
         ["--series-until", "6", "--series-step", "2s", "--out", "x.json", "--out-dir", "s"],
         ["--out-dir", "s"],
+        ["--series-step", "50"],
+        ["--series-step", "90d", "--out", "x.json"],
     ])
     def test_options_that_do_not_apply_are_fatal(self, universe_log, tmp_path, monkeypatch, capsys, extra):
         # a series is DOT files in --out-dir; a single snapshot is one document
@@ -274,6 +276,15 @@ class TestSnapshot:
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["universe.ndjson"]
+
+    def test_series_step_defaults_to_90_days(self, universe_log, tmp_path, capsys):
+        out_dir = tmp_path / "series"
+        code = main(["snapshot", "--log", str(universe_log), "--at", "0",
+                     "--series-until", str(180 * 86400), "--out-dir", str(out_dir)])
+        assert code == 0
+        assert sorted(p.name for p in out_dir.iterdir()) == [
+            "snapshot_0.dot", "snapshot_15552000.dot", "snapshot_7776000.dot",
+        ]
 
     def test_series_takes_format_dot(self, universe_log, tmp_path, capsys):
         out_dir = tmp_path / "series"
@@ -623,6 +634,26 @@ class TestSample:
         records.write_text(good)
         assert main([*argv, "--contributions", str(records)]) == 0
         assert capsys.readouterr().out == out
+
+    @pytest.mark.parametrize("argv, detail", [
+        (["--metric", "dependents", "--contributions", "c.ndjson"], "--contributions"),
+        (["--metric", "popularity", "--popularity-csv", "pop.csv", "--contributions", "c.ndjson"],
+         "--contributions"),
+        (["--metric", "contributors", "--contributions", "c.ndjson", "--popularity-csv", "missing.csv"],
+         "--popularity-csv"),
+        (["--metric", "activity", "--popularity-csv", "pop.csv"], "--popularity-csv"),
+    ])
+    def test_a_file_the_metric_does_not_read_is_fatal(self, universe_log, tmp_path, monkeypatch, capsys,
+                                                      argv, detail):
+        monkeypatch.chdir(tmp_path)
+        good = '{"id": "c1", "author": "alice", "target": "x", "type": "pr", "time": 1, "merged": true}\n'
+        Path("c.ndjson").write_text(good + "not json\n")
+        Path("pop.csv").write_text("package,score\nx,1\n")
+        assert main(["sample", "--log", str(universe_log), "--k", "1", *argv]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        [line] = err.splitlines()
+        assert line.startswith(f"error: {detail} takes --metric ")
 
     def test_utf8_bom_popularity_csv(self, universe_log, tmp_path, capsys):
         table = tmp_path / "pop.csv"

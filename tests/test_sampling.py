@@ -1,3 +1,6 @@
+import random
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,6 +11,7 @@ from pkgverse.graph import UniverseGraph, diff
 from pkgverse.sampling import (
     BreakageReport,
     SampleSpec,
+    _reachable_pair_count,
     activity_report,
     chain_breakage,
     sample_top_k,
@@ -217,6 +221,26 @@ class TestChainBreakage:
         report = chain_breakage(g.timed_snapshot(n), {f"p{i:04d}" for i in range(half)})
         assert report.broken_transitive_paths == n * (n - 1) // 2 - half * (half - 1) // 2
         assert report.dangling_use_edges == 1
+
+    def test_count_memory_follows_reach_not_name_order(self):
+        # 20k packages, each using 3 of 200 popular ones spread over name
+        # order, as chain_breakage counts them with every second package
+        # kept; bits numbered by name order made each closure about as wide
+        # as the whole package list, some 58 MB here
+        rng = random.Random(7)
+        names = [f"p{i:05d}" for i in range(20_000)]
+        popular = names[::100]
+        edges = sorted({(a, b) for a in names for b in rng.sample(popular, 3) if a != b})
+        subset = set(names[::2])
+        kept = [(a, b) for a, b in edges if a in subset and b in subset]
+        tracemalloc.start()
+        try:
+            broken = _reachable_pair_count(names, edges) - _reachable_pair_count(sorted(subset), kept)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert broken > 0
+        assert peak < 20 * 2**20
 
     def test_removal_never_decreases_path_and_chain_counts(self, rng):
         # holds for the reachability and chain counts; the dangling count

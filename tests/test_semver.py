@@ -13,7 +13,7 @@ from pkgverse.semver import (
     resolve_version_range,
 )
 
-from oracles import satisfying_max
+from oracles import reference_matches, satisfying_max
 
 
 class TestParseVersion:
@@ -222,6 +222,70 @@ class TestResolution:
         assert cases >= 500
 
 
+@st.composite
+def _range_body(draw):
+    """A version body from the range grammar: a partial or wildcard version,
+    a prerelease tag only when all three parts are numbers, a build tag."""
+    parts = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        # a number may only follow numbers; a wildcard may follow either
+        if parts and parts[-1] in "xX*":
+            parts.append(draw(st.sampled_from("xX*")))
+        else:
+            parts.append(draw(st.sampled_from(["0", "1", "2", "3", "x", "X", "*"])))
+    text = ".".join(parts)
+    if len(parts) == 3 and parts[-1].isdigit():
+        text += draw(st.sampled_from(["", "", "-0", "-alpha", "-rc.1", "-beta.2"]))
+    return text + draw(st.sampled_from(["", "", "+b", "+5.x"]))
+
+
+_range_clause = st.one_of(
+    st.builds("{} - {}".format, _range_body(), _range_body()),
+    st.lists(
+        st.builds("{}{}{}".format, st.sampled_from(["", "=", "^", "~", ">", ">=", "<", "<="]),
+                  st.sampled_from(["", "", " "]), _range_body()),
+        min_size=0, max_size=3,
+    ).map(" ".join),
+)
+_grammar_range = st.lists(_range_clause, min_size=1, max_size=3).map(" || ".join)
+_candidate = st.builds(
+    Version,
+    major=st.integers(min_value=0, max_value=4),
+    minor=st.integers(min_value=0, max_value=4),
+    patch=st.integers(min_value=0, max_value=4),
+    prerelease=st.sampled_from([(), (), ("0",), ("alpha",), ("rc", "1"), ("beta", "2")]),
+    build=st.sampled_from([(), ("a",), ("b",)]),
+)
+
+
+class TestCompiledMatching:
+    @given(text=_grammar_range, data=st.data())
+    def test_matches_and_resolution_follow_the_reference_rule(self, text, data):
+        rng = VersionRange.parse(text)
+        # versions at each bound's triple, tagged or not
+        near = [
+            Version(*c.version.triple, pre)
+            for clause in rng.clauses
+            for c in clause
+            for pre in {c.version.prerelease, (), ("0",), ("alpha",), ("z",)}
+        ]
+        pool = st.one_of(_candidate, st.sampled_from(near)) if near else _candidate
+        versions = data.draw(st.lists(pool, max_size=12))
+        # each key twice, told apart by build, in a drawn order
+        versions = data.draw(st.permutations(
+            versions + [Version(*v.triple, v.prerelease, ("copy",)) for v in versions]
+        ))
+        for v in versions:
+            assert rng.matches(v) == reference_matches(rng, v)
+        expected = satisfying_max(rng, versions)
+        if expected is None:
+            with pytest.raises(NoMatchingVersion):
+                resolve_version_range(rng, versions)
+        else:
+            # the first of equal keys wins, so the same object comes back
+            assert resolve_version_range(rng, versions) is expected
+
+
 @pytest.mark.parametrize("text", ["x.x", "*.*", "X.x.x", "x+b.2", "*+1"])
 def test_wildcard_major_forms_parse_to_any(text):
     assert str(VersionRange.parse(text)) == ">=0.0.0"
@@ -281,6 +345,8 @@ class TestParseMemo:
     def test_a_text_is_parsed_once(self):
         assert parse_version("4.5.6-rc.1+b") is parse_version("4.5.6-rc.1+b")
         assert VersionRange.parse("^4.5.6 || 7.x") is VersionRange.parse("^4.5.6 || 7.x")
+        assert VersionRange.pin("4.5.6-rc.1") is VersionRange.pin("4.5.6-rc.1")
+        assert VersionRange.pin("2013-alpha-SNAPSHOT") is VersionRange.pin("2013-alpha-SNAPSHOT")
 
     def test_range_memo_is_keyed_by_class(self):
         class Pinned(VersionRange):
@@ -288,6 +354,15 @@ class TestParseMemo:
 
         assert type(VersionRange.parse("^1.2.3")) is VersionRange
         assert type(Pinned.parse("^1.2.3")) is Pinned
+        assert type(VersionRange.pin("1.2.3")) is VersionRange
+        assert type(Pinned.pin("1.2.3")) is Pinned
+        assert type(Pinned.pin("nightly")) is Pinned
+
+    @given(label=st.one_of(_version_text, st.sampled_from(["2013-alpha-SNAPSHOT", "", "v1.2.3"])))
+    def test_memoized_pin_equals_uncached(self, label):
+        uncached = semver._pin.__wrapped__(VersionRange, label)
+        assert VersionRange.pin(label) == uncached
+        assert repr(VersionRange.pin(label)) == repr(uncached)
 
     def test_bad_texts_raise_on_every_call(self):
         for _ in range(3):
@@ -310,5 +385,5 @@ class TestParseMemo:
             parse_version(["1.2.3"])  # unhashable: rejected before the memo
 
     def test_memos_are_bounded(self):
-        for memo in (semver._parse_version, semver._parse_range):
+        for memo in (semver._parse_version, semver._parse_range, semver._pin):
             assert 0 < memo.cache_info().maxsize < 100_000
