@@ -46,10 +46,10 @@ human = filter_contributions(contributions, exclude_developers=bots)
 # the dependency-contribution graph of each window holding a contribution
 print("\nanalysis windows:", [(w.start, w.end) for w in window_partition(0, 90 * 86400)])
 
-for window, dc in congruence_windows(graph, human, 0, 90 * 86400):
-    print(f"\nwindow ({window.start}, {window.end}]:")
+for dc in congruence_windows(graph, human, 0, 90 * 86400):
+    print(f"\nwindow ({dc.window.start}, {dc.window.end}]:")
     print("  dependency edges:  ", sorted(dc.dependency_edges))
-    print("  contribution edges:", sorted(dc.contribution_edges))
+    print("  contribution edges:", sorted({(c.developer, c.target) for c in dc.contributions}))
     for pair in congruent_contributions(dc):
         print(
             f"  congruent: {pair.developer} touched {pair.client} ({pair.client_contribution}) "

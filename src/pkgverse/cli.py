@@ -5,8 +5,11 @@ developer aliases, but some read files the log does not hold: ``congruence``
 and ``sample --metric contributors`` read ``--contributions``, ``sample
 --metric popularity`` reads ``--popularity-csv``, and ``registries`` reads
 its table. An option that does not apply is fatal: ``sample`` takes each
-file only with the metric that reads it, and ``snapshot`` takes
-``--out-dir`` and ``--series-step`` only with ``--series-until``. Data
+file only with the metric that reads it, ``snapshot`` takes ``--out-dir``
+and ``--series-step`` only with ``--series-until``, ``congruence`` takes no
+``--window`` with ``--cross-window`` and no ``--bot-threshold`` with
+``--keep-bots``, and ``ingest`` takes ``--columns`` only with ``--kind dump``
+and ``--include-dev`` and ``--time`` only with ``--kind manifest``. Data
 documents go to stdout (or ``--out``); human-readable summaries go to
 stderr. Exit codes: 0 on success, 1 on fatal errors, 2 when the run
 completed but some events or records were quarantined.
@@ -158,6 +161,11 @@ def _load_contribution_file(path, aliases) -> tuple[list[Contribution], list[Qua
 
 
 def cmd_ingest(args) -> int:
+    for given, option, kind in ((args.columns is not None, "--columns", "dump"),
+                                (args.include_dev, "--include-dev", "manifest"),
+                                (args.time is not None, "--time", "manifest")):
+        if given and args.kind != kind:
+            raise PkgverseError(f"{option} takes --kind {kind}")
     counts: Counter[str] = Counter()
     quarantined: list[Quarantined] = []
 
@@ -175,7 +183,7 @@ def cmd_ingest(args) -> int:
                 if args.kind == "manifest":
                     sections = ("dependencies", "devDependencies") if args.include_dev else ("dependencies",)
                     manifest = parse_manifest(path.read_text(encoding="utf-8-sig"), sections)
-                    log.append_records(good(manifest_records(manifest, args.time)))
+                    log.append_records(good(manifest_records(manifest, args.time or 0)))
                     continue
                 with path.open(encoding="utf-8-sig", newline="") as fh:  # -sig: drop a leading BOM
                     if args.kind == "dump":
@@ -251,7 +259,11 @@ def cmd_resolve(args) -> int:
 
 
 def cmd_congruence(args) -> int:
-    if not 0.0 <= args.bot_threshold <= 1.0:
+    if args.cross_window and args.window is not None:
+        raise PkgverseError("--cross-window spans the range with one window; it takes no --window")
+    if args.keep_bots and args.bot_threshold is not None:
+        raise PkgverseError("--keep-bots excludes no developer; it takes no --bot-threshold")
+    if args.bot_threshold is not None and not 0.0 <= args.bot_threshold <= 1.0:
         raise PkgverseError(f"--bot-threshold must be within [0, 1], got {args.bot_threshold}")
     result = _replay_log(args)
     contributions, quarantined = _load_contribution_file(args.contributions, result.aliases)
@@ -263,7 +275,7 @@ def cmd_congruence(args) -> int:
             by_dev.setdefault(c.developer, []).append(c)
         for dev, items in by_dev.items():
             _, score = classify_bot(dev, items)
-            if score >= args.bot_threshold:
+            if score >= (BOT_THRESHOLD if args.bot_threshold is None else args.bot_threshold):
                 excluded.add(dev)
     contributions = filter_contributions(
         contributions,
@@ -277,11 +289,11 @@ def cmd_congruence(args) -> int:
     end = parse_timestamp(args.window_end) if args.window_end is not None else t_hi
     # cross-window mode drops the co-window requirement by spanning the
     # whole range with a single window
-    width = end - start if args.cross_window else _parse_duration(args.window)
+    width = end - start if args.cross_window else _parse_duration("90d" if args.window is None else args.window)
 
     rows = [
-        (window, pair)
-        for window, dc in congruence_windows(result.graph, contributions, start, end, width)
+        (dc.window, pair)
+        for dc in congruence_windows(result.graph, contributions, start, end, width)
         for pair in congruent_contributions(dc)
     ]
     with _output(args) as fh:
@@ -390,8 +402,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--columns", help="comma-separated dump column names, in the order "
                                      "platform,name,version,released_at,dep_name,dep_requirement; "
                                      "a shorter list overrides the leading ones and keeps the rest")
-    p.add_argument("--include-dev", action="store_true", help="also ingest devDependencies")
-    p.add_argument("--time", type=int, default=0, help="release time for manifest ingests (epoch seconds)")
+    p.add_argument("--include-dev", action="store_true", help="also ingest devDependencies (manifest only)")
+    p.add_argument("--time", type=int, help="release time for manifest ingests (epoch seconds, default 0)")
     p.add_argument("--log", required=True, help="event log path (NDJSON)")
     p.set_defaults(func=cmd_ingest)
 
@@ -414,11 +426,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = commands.add_parser("congruence", help="detect congruent contribution pairs per window")
     p.add_argument("--contributions", required=True, help="NDJSON contribution records")
-    p.add_argument("--window", default="90d", help="analysis window width (default 90d)")
+    p.add_argument("--window", help="analysis window width (default 90d; not with --cross-window)")
     p.add_argument("--window-start", help="analysis range start (default: before first record)")
     p.add_argument("--window-end", help="analysis range end (default: last record)")
     p.add_argument("--keep-bots", action="store_true", help="do not exclude bot accounts")
-    p.add_argument("--bot-threshold", type=float, default=BOT_THRESHOLD)
+    p.add_argument("--bot-threshold", type=float, help=f"bot score cut (default {BOT_THRESHOLD}; not with --keep-bots)")
     p.add_argument("--include-unmerged", action="store_true",
                    help="count unmerged pull requests as contributions")
     p.add_argument("--cross-window", action="store_true",

@@ -292,7 +292,6 @@ class DcGraph:
     window: Window
     dependency_edges: AbstractSet[tuple[str, str]]  # (client, library)
     contributions: tuple[Contribution, ...]
-    contribution_edges: frozenset[tuple[str, str]]  # (developer, package)
 
 
 @dataclass(frozen=True)
@@ -314,27 +313,20 @@ def build_dc_graph(graph: UniverseGraph, contributions, window: Window) -> DcGra
     bisected per window."""
     dep_edges = graph.package_dependency_edges(window.end)
     in_window = tuple(sorted((c for c in contributions if window.contains(c.time)), key=_in_order))
-    edges = frozenset((c.developer, c.target) for c in in_window)
-    return DcGraph(
-        window=window,
-        dependency_edges=dep_edges,
-        contributions=in_window,
-        contribution_edges=edges,
-    )
+    return DcGraph(window=window, dependency_edges=dep_edges, contributions=in_window)
 
 
 def congruence_windows(
     graph: UniverseGraph, contributions, start: int, end: int, width: int = DEFAULT_WINDOW_SECONDS
-) -> Iterator[tuple[Window, DcGraph]]:
-    """Yield ``(window, build_dc_graph(graph, held, window))`` for each window
-    of ``window_partition(start, end, width)`` that holds a contribution, in
+) -> Iterator[DcGraph]:
+    """Yield ``build_dc_graph(graph, held, window)`` for each window of
+    ``window_partition(start, end, width)`` that holds a contribution, in
     window order. The contributions inside the range are sorted once, by
     time then id, and grouped by window index; no other window is built."""
     starts = _window_starts(start, end, width)
     held = sorted((c for c in contributions if start < c.time <= end), key=_in_order)
     for k, group in groupby(held, key=lambda c: (c.time - start - 1) // width):
-        window = Window(starts[k], min(starts[k] + width, end))
-        yield window, build_dc_graph(graph, list(group), window)
+        yield build_dc_graph(graph, list(group), Window(starts[k], min(starts[k] + width, end)))
 
 
 def congruent_contributions(g: DcGraph) -> list[CongruentPair]:

@@ -59,6 +59,7 @@ import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
+from .contrib import Contribution
 from .errors import CorruptLog, PkgverseError, SchemaError, TornTail, UnknownUnit
 from .graph import UniverseGraph
 
@@ -437,12 +438,12 @@ class Quarantined:
 
 @dataclass
 class ReplayResult:
-    """Everything a log contains: the rebuilt graph, the contribution and
-    alias payloads that ride alongside it, and the quarantine report, one
-    :class:`Quarantined` item per line not applied, its ``source`` the log."""
+    """Everything a log contains: the rebuilt graph, the contributions (their
+    titles empty) and alias pairs that ride alongside it, and the quarantine
+    report, one :class:`Quarantined` item per line not applied, from the log."""
 
     graph: UniverseGraph
-    contributions: list[dict] = field(default_factory=list)
+    contributions: list[Contribution] = field(default_factory=list)
     aliases: list[tuple[str, str]] = field(default_factory=list)
     quarantine: list[Quarantined] = field(default_factory=list)
 
@@ -455,10 +456,13 @@ def replay(
     Deterministic: the same bytes always yield a structurally identical
     graph and quarantine report. Pass ``into`` to apply a further log on
     top of an earlier replay (``replay(a) then apply b`` equals replaying
-    the concatenation of ``a`` and ``b``). A torn final fragment is
-    reported as a ``TornTail`` entry with an empty record; any other line
-    that is not a JSON object raises :class:`CorruptLog`.
+    the concatenation of ``a`` and ``b``) under that graph's strictness;
+    ``strict=True`` with a graph that is not strict raises ValueError. A
+    torn final fragment is reported as a ``TornTail`` entry with an empty
+    record; any other line that is not a JSON object raises :class:`CorruptLog`.
     """
+    if strict and into is not None and not into.graph.strict:
+        raise ValueError("strict=True cannot apply to a replay into a graph that is not strict")
     path = log.path if isinstance(log, EventLog) else Path(log)
     result = into if into is not None else ReplayResult(graph=UniverseGraph(strict=strict))
     graph = result.graph
@@ -492,7 +496,7 @@ def replay(
                         raise UnknownUnit("unresolvable reference %s@%s" % (src_ref if src is None else dst_ref))
                     (graph.add_use_edge if kind == "use" else graph.add_update_edge)(src, dst)
                 elif kind == "contribution":
-                    result.contributions.append(_payload(kind, leaves))
+                    result.contributions.append(Contribution(*leaves))
                 else:
                     result.aliases.append(leaves)
             except PkgverseError as exc:

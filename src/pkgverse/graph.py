@@ -105,11 +105,11 @@ class UpdateEdge:
 class GrowthDelta:
     """Additions separating two snapshots of the same graph.
 
-    ``strict_growth`` reports whether every added edge touches at least one
-    added unit — i.e. whether the growth consists purely of new material.
-    Real dumps violate this when metadata corrections introduce edges
-    between pre-existing releases, so it is surfaced as a flag rather than
-    enforced.
+    ``strict_growth``, read off the additions, reports whether every added
+    edge touches at least one added unit — i.e. whether the growth consists
+    purely of new material. Real dumps violate this when metadata
+    corrections introduce edges between pre-existing releases, so it is
+    surfaced as a flag rather than enforced.
 
     The fields are read-only sets: views of the time index between two
     snapshots of it, else frozensets. Equality and hashing follow members.
@@ -118,7 +118,11 @@ class GrowthDelta:
     added_units: AbstractSet[SoftwareUnit]
     added_use_edges: AbstractSet[UseEdge]
     added_update_edges: AbstractSet[UpdateEdge]
-    strict_growth: bool
+
+    @property
+    def strict_growth(self) -> bool:
+        new_uids = {u.uid for u in self.added_units}
+        return all(e.src in new_uids or e.dst in new_uids for e in chain(self.added_use_edges, self.added_update_edges))
 
     def is_empty(self) -> bool:
         return not (self.added_units or self.added_use_edges or self.added_update_edges)
@@ -523,12 +527,8 @@ def diff(older: TimedSnapshot, newer: TimedSnapshot) -> GrowthDelta:
     """
     if older.at > newer.at:
         raise SnapshotOrderError(f"older.at={older.at} > newer.at={newer.at}")
-    added_units = _added(older.units, newer.units)
-    added_use = _added(older.use_edges, newer.use_edges)
-    added_upd = _added(older.update_edges, newer.update_edges)
-    new_uids = {u.uid for u in added_units}
-    strict = all(e.src in new_uids or e.dst in new_uids for e in chain(added_use, added_upd))
-    return GrowthDelta(added_units, added_use, added_upd, strict)
+    return GrowthDelta(_added(older.units, newer.units), _added(older.use_edges, newer.use_edges),
+                       _added(older.update_edges, newer.update_edges))
 
 
 def _added(old: AbstractSet, new: AbstractSet) -> AbstractSet:

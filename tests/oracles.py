@@ -14,7 +14,7 @@ from operator import attrgetter
 import networkx as nx
 
 from pkgverse import eventlog
-from pkgverse.contrib import Developer
+from pkgverse.contrib import Contribution, Developer
 from pkgverse.errors import (
     BranchingUpdate,
     ConflictingAlias,
@@ -545,7 +545,8 @@ def _reference_apply(result, kind, values):
             raise UnknownUnit(f"unresolvable reference {missing[0]}@{missing[1]}")
         (graph.add_use_edge if kind == "use" else graph.add_update_edge)(src, dst)
     elif kind == "contribution":
-        result.contributions.append(dict(zip(eventlog._FIELDS[kind], values)))
+        cid, dev, (target,), ctype, time, merged = values
+        result.contributions.append(Contribution(cid, dev, target, ctype, time, merged))
     else:
         result.aliases.append(tuple(values))
 

@@ -188,9 +188,33 @@ class TestIngest:
         source = tmp_path / "bom.txt"
         source.write_bytes(b"\xef\xbb\xbf" + text.encode())
         log = tmp_path / "log.ndjson"
-        assert main(["ingest", str(source), "--kind", kind, "--log", str(log), "--time", "5"]) == 0
+        time = ["--time", "5"] if kind == "manifest" else []
+        assert main(["ingest", str(source), "--kind", kind, "--log", str(log), *time]) == 0
         [line] = log.read_text().splitlines()
         assert json.loads(line)["time"] == 5
+
+    @pytest.mark.parametrize("kind, extra, message", [
+        ("dump", ["--include-dev", "--time", "9"], "--include-dev takes --kind manifest"),
+        ("dump", ["--time", "0"], "--time takes --kind manifest"),
+        ("contributions", ["--time", "5"], "--time takes --kind manifest"),
+        ("contributions", ["--include-dev"], "--include-dev takes --kind manifest"),
+        ("contributions", ["--columns", "a,b"], "--columns takes --kind dump"),
+        ("manifest", ["--columns", "name"], "--columns takes --kind dump"),
+    ])
+    def test_options_that_do_not_apply_are_fatal(self, tmp_path, capsys, kind, extra, message):
+        # each input is valid for its kind, so only the option can fail the run
+        source = tmp_path / "input"
+        source.write_text({
+            "dump": "name,version,released_at\napp,1.0.0,5\n",
+            "contributions": '{"id": "c1", "author": "alice", "target": "app", "type": "pr", "time": 5}\n',
+            "manifest": '{"name": "app", "version": "1.0.0"}',
+        }[kind])
+        log = tmp_path / "log.ndjson"
+        assert main(["ingest", str(source), "--kind", kind, *extra, "--log", str(log)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [f"error: {message}"]
+        assert not log.exists()
 
     def test_100k_row_dump_summary_matches_line_count(self, tmp_path, capsys):
         rows = ["platform,name,version,released_at,dep_name,dep_requirement"]
@@ -483,6 +507,30 @@ class TestCongruence:
     def test_bad_bot_threshold_is_fatal(self, app_log, contributions_file):
         assert main(["congruence", "--log", str(app_log), "--contributions",
                      str(contributions_file), "--bot-threshold", "1.5"]) == 1
+
+    @pytest.mark.parametrize("extra, option", [
+        (["--cross-window", "--window", "7d"], "--window"),
+        (["--cross-window", "--window", "90d"], "--window"),
+        (["--keep-bots", "--bot-threshold", "0.1"], "--bot-threshold"),
+        (["--keep-bots", "--bot-threshold", "1.5"], "--bot-threshold"),
+    ])
+    def test_options_that_do_not_apply_are_fatal(self, app_log, contributions_file, monkeypatch, capsys,
+                                                  extra, option):
+        monkeypatch.setattr("pkgverse.cli.replay", lambda *a, **k: pytest.fail("the log was replayed"))
+        argv = ["congruence", "--log", str(app_log), "--contributions", str(contributions_file), *extra]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        [line] = err.splitlines()
+        assert line.startswith("error: ") and line.endswith(f"takes no {option}")
+
+    def test_a_given_bot_threshold_applies(self, app_log, contributions_file, capsys):
+        # the fixture's bot scores about 0.97, so a threshold above that keeps its pair
+        def pairs(*extra):
+            assert main(["congruence", "--log", str(app_log), "--contributions", str(contributions_file), *extra]) == 0
+            return len(capsys.readouterr().out.splitlines()) - 1
+
+        assert (pairs(), pairs("--bot-threshold", "0.8"), pairs("--bot-threshold", "0.99")) == (2, 2, 3)
 
     @pytest.mark.parametrize("bounds", [
         ["--window-start", "2020-01-01", "--window-end", "2019-01-01"],

@@ -1,4 +1,6 @@
+import json
 import time
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,8 +20,10 @@ from pkgverse.contrib import (
     Window,
 )
 from pkgverse.errors import ConflictingAlias, InvalidRange
+from pkgverse.eventlog import EventLog, replay
 from pkgverse.fixtures import bot_benchmark, client_library_fixture
 from pkgverse.graph import UniverseGraph
+from pkgverse.ingest import contribution_records, parse_contributions
 
 from conftest import random_universe
 from oracles import congruence_brute_force, reference_merge_identities
@@ -58,7 +62,6 @@ def dc_graph(edges, contribs, window=Window(0, 100)) -> DcGraph:
         window=window,
         dependency_edges=frozenset(edges),
         contributions=tuple(contribs),
-        contribution_edges=frozenset((c.developer, c.target) for c in contribs),
     )
 
 
@@ -279,7 +282,7 @@ class TestDcGraph:
         assert dc.dependency_edges == frozenset(
             {("app", "parser"), ("app", "utils"), ("parser", "utils")}
         )
-        assert len(dc.contribution_edges) == 4
+        assert len({(c.developer, c.target) for c in dc.contributions}) == 4
 
     def test_empty_contributions(self):
         g, _ = client_library_fixture()
@@ -349,10 +352,32 @@ class TestCongruenceWindows:
         raw = data.draw(st.lists(st.tuples(st.integers(0, 3), st.sampled_from(targets), times), max_size=30))
         contribs = [Contribution(f"c{i}", f"dev{d}", t, "issue", time) for i, (d, t, time) in enumerate(raw)]
         expected = [
-            (w, dc) for w in window_partition(start, end, width)
+            dc for w in window_partition(start, end, width)
             if (dc := build_dc_graph(g, contribs, w)).contributions
         ]
         assert list(congruence_windows(g, contribs, start, end, width)) == expected
+
+    def test_replayed_contributions_give_the_pairs_of_the_parsed_file(self, tmp_path):
+        g, contribs = client_library_fixture(include_bot=True)
+        source, log = tmp_path / "c.ndjson", tmp_path / "log.ndjson"
+        source.write_text("".join(json.dumps({
+            "id": c.id, "author": c.developer, "target": c.target, "type": c.ctype, "time": c.time,
+            "merged": c.merged, "title": c.title,
+        }) + "\n" for c in contribs))
+        with source.open() as fh:
+            parsed = list(parse_contributions(fh))
+        with source.open() as fh, EventLog(log) as events:
+            events.append_records(contribution_records(fh))
+        replayed = replay(log).contributions
+        assert replayed == [replace(c, title="") for c in parsed]  # the log holds no titles
+
+        def pairs(contributions):
+            developers = merge_identities([(c.developer, "") for c in contributions])
+            merged = canonicalize_contributions(contributions, developers)
+            return [(dc.window, congruent_contributions(dc)) for dc in congruence_windows(g, merged, 0, 40, 20)]
+
+        assert pairs(replayed) == pairs(parsed)
+        assert [len(found) for _, found in pairs(parsed)] == [2, 0]
 
     @pytest.mark.parametrize("bounds", [(5, 5, 1), (5, 4, 1), (0, 10, 0), (0, 10, -3)])
     def test_invalid_range_raises_as_the_partition_does(self, bounds):
@@ -467,7 +492,6 @@ class TestCongruence:
             window=Window(0, 20),
             dependency_edges=frozenset(edges),
             contributions=tuple(contribs),
-            contribution_edges=frozenset((c.developer, c.target) for c in contribs),
         )
         pairs = congruent_contributions(dc)
         rows = [

@@ -415,7 +415,6 @@ def test_growth_delta_is_addition_only_by_construction():
         "added_units",
         "added_use_edges",
         "added_update_edges",
-        "strict_growth",
     }
 
 

@@ -88,6 +88,20 @@ class TestParseManifest:
         with pytest.raises(ParseError):
             parse_manifest("{nope")
 
+    @pytest.mark.parametrize("text, sections, error, message", [
+        ("[1]", ("dependencies",), ParseError, "manifest must be a JSON object"),
+        ('{"name":"a","version":"1"}', ("scripts",), ValueError, "unknown dependency section"),
+        ('{"name":"a","version":"1","dependencies":["b"]}', ("dependencies",), ParseError,
+         "section 'dependencies' must be an object"),
+        ('{"name":"a","version":"1","dependencies":{"b":1}}', ("dependencies",), ParseError,
+         "requirement of 'b' must be a string"),
+        ('{"name":"a","version":"1","dependencies":{"b":"1"},"devDependencies":{"b":"2"}}',
+         ("dependencies", "devDependencies"), ParseError, "dependency declared in multiple sections"),
+    ])
+    def test_invalid_documents_and_sections(self, text, sections, error, message):
+        with pytest.raises(error, match=message):
+            parse_manifest(text, sections)
+
     def test_unknown_fields_ignored(self):
         m = parse_manifest('{"name":"a","version":"1.0.0","scripts":{"test":"x"}}')
         assert m.name == "a"
@@ -362,6 +376,12 @@ class TestRegistryTable:
         bom.write_bytes(b"\xef\xbb\xbf" + text)
         assert load_registry_table(bom) == load_registry_table(plain)
         assert [r.ecosystem for r in load_registry_table(bom)] == ["npm"]
+
+    def test_missing_columns(self, tmp_path):
+        table = tmp_path / "short.csv"
+        table.write_text("ecosystem,language\nnpm,JavaScript\n")
+        with pytest.raises(CsvError, match=r"short\.csv:2: missing registry columns$"):
+            load_registry_table(table)
 
     def test_expected_column_values(self):
         npm = registry_info("npm")

@@ -358,7 +358,7 @@ def _state(run) -> str:
     quarantine = [(q.line_no, q.seq, q.reason, q.detail, list(q.record.items())) for q in result.quarantine]
     return repr((
         g.units, sorted(g.use_edges, key=ends), sorted(g.update_edges, key=ends), g.anomalies,
-        [list(c.items()) for c in result.contributions], result.aliases, quarantine,
+        result.contributions, result.aliases, quarantine,
     ))
 
 

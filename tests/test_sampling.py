@@ -330,6 +330,10 @@ class TestActivityReport:
         with pytest.raises(UnknownPackage):
             activity_report(g, "ghost", window=10)
 
+    def test_empty_graph(self):
+        with pytest.raises(UnknownPackage, match="^'x': graph is empty$"):
+            activity_report(UniverseGraph(), "x", 10)
+
     @pytest.mark.parametrize("window", [0, -5])
     def test_non_positive_window(self, window):
         g, _ = sample_universe()

@@ -172,6 +172,8 @@ class TestRangeGrammar:
             VersionRange.parse("^1.2.3 - - 2.0.0")
         with pytest.raises(VersionParseError):
             VersionRange.parse("banana!")
+        with pytest.raises(VersionParseError, match="malformed hyphen range"):
+            VersionRange.parse("1 - 2 - 3")
 
 
 class TestResolution:
